@@ -4,8 +4,8 @@
     python3 tcpzbench/selftest.py
 
 Run from the root of a source checkout (it builds through run.py). For each
-workload it makes a --quick run with --trace 0 and one with --trace 1 and
-asserts that
+workload it makes a run with --seconds 1 and --trace 0 and one with
+--trace 1 (the real workloads, only fewer repetitions) and asserts that
   * the last stdout line is a result with exactly the contract's keys,
   * every metric BENCHMARK.json names for that mode is emitted, with the
     unit BENCHMARK.json gives it, and nothing else is,
@@ -35,7 +35,7 @@ def fail(msg):
 
 def run(workload, trace, seed=7):
     cmd = [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
-           "--seconds", "1", "--trace", str(trace), "--quick"]
+           "--seconds", "1", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                           timeout=600)
     if proc.returncode != 0:

@@ -198,6 +198,19 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 
+void SetupSampler::sample(double seconds) {
+  if (count_ == 0) {
+    for (int i = 0; i < 3; ++i) build_();
+  }
+  const double start = now_s();
+  for (int n = 0; n < 5 || now_s() - start < seconds; ++n) {
+    const double t0 = now_s();
+    build_();
+    const double t = now_s() - t0;
+    fastest_s_ = count_++ == 0 ? t : std::min(fastest_s_, t);
+  }
+}
+
 double quantile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());

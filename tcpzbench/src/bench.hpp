@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,8 +18,6 @@ struct Options {
   std::uint64_t seed = 1;
   double seconds = 10;
   bool trace = false;
-  /// Short timelines and step lengths, for the self-test only.
-  bool quick = false;
   /// Source identity recorded in the run label (run.py passes it).
   std::string commit = "unknown";
   /// Where a traced run writes its spans; empty = do not write.
@@ -113,6 +112,30 @@ void count_allocations(bool on);
 [[nodiscard]] inline double median(std::vector<double> v) {
   return quantile(std::move(v), 0.5);
 }
+
+/// Set-up time, sampled in short batches spread over the whole run. One
+/// set-up takes a fraction of a millisecond to a few milliseconds. On a
+/// shared machine its cost swings by up to half between quiet and contended
+/// stretches (other tenants on the sibling hyperthread or the cache), and a
+/// stretch can last seconds, so even the median of a whole second of
+/// set-ups moved by a third from run to run. The fastest set-up of the run
+/// is the quiet cost: work added to set-up raises it, contention does not.
+class SetupSampler {
+ public:
+  /// `build` performs one complete set-up and tear-down.
+  explicit SetupSampler(std::function<void()> build) : build_(std::move(build)) {}
+  /// Times `build` repeatedly for `seconds` of wall time (at least 5 times).
+  /// The first batch is preceded by three untimed warm-up calls.
+  void sample(double seconds);
+  /// The fastest set-up over all batches, seconds.
+  [[nodiscard]] double fastest_s() const { return fastest_s_; }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+
+ private:
+  std::function<void()> build_;
+  double fastest_s_ = 0;
+  std::uint64_t count_ = 0;
+};
 
 // Workload entry points (each fills the report and returns normally).
 void run_botnet_flood(const Options& opt, Report& rep, Spans& spans);

@@ -1,8 +1,7 @@
 // tcpzbench — the repository benchmark program.
 //
 //   tcpzbench --workload <botnet_flood|fleet_hybrid|wire_storm> --seed N
-//             --seconds S --trace <0|1> [--quick] [--commit ID]
-//             [--span-dir DIR]
+//             --seconds S --trace <0|1> [--commit ID] [--span-dir DIR]
 //
 // Prints progress and a run label, then as the last stdout line one JSON
 // object {correct, attempted, failed, metrics}. With --trace 0 the metrics
@@ -77,7 +76,7 @@ constexpr const char* kEndToEnd[] = {
   std::fprintf(stderr,
                "tcpzbench: %s\nusage: tcpzbench --workload "
                "<botnet_flood|fleet_hybrid|wire_storm> --seed N --seconds S "
-               "--trace <0|1> [--quick] [--commit ID] [--span-dir DIR]\n",
+               "--trace <0|1> [--commit ID] [--span-dir DIR]\n",
                why);
   std::exit(2);
 }
@@ -88,10 +87,7 @@ int main(int argc, char** argv) {
   tcpzb::Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (a == "--quick") {
-      opt.quick = true;
-    } else if (!has_value) {
+    if (i + 1 >= argc) {
       usage(("missing value for " + a).c_str());
     } else if (a == "--workload") {
       opt.workload = argv[++i];

@@ -8,9 +8,10 @@
 //               shared replay cache, 1M-user hybrid population (cohort 1e-3),
 //               a patched conn-flood botnet, 600 s timeline.
 //
-// A plain run repeats the scenario until --seconds have elapsed and reports
-// the median speed; every repetition must reproduce the first one's event
-// and counter digest. A traced run times one plain repetition and one
+// A plain run repeats the scenario for about --seconds, times set-ups
+// between the repetitions, and reports the median speed and the fastest
+// set-up; every repetition must reproduce the first one's event and counter
+// digest. A traced run times one plain repetition and one
 // instrumented one (run_until sliced at the attack window, allocation
 // counting, spans) and derives the per-layer metrics from them.
 #include <cstdio>
@@ -34,7 +35,7 @@ scenario::Spec botnet_flood_spec(const Options& opt) {
   spec = spec.scaled();  // 120 s, attack 30-80 s
   spec.servers.policies = {defense::PolicySpec::puzzles()};
   scenario::AttackSpec atk;
-  atk.count = opt.quick ? 40 : 120;
+  atk.count = 120;
   atk.strategy = offense::StrategySpec::conn_flood(/*patched=*/true);
   spec.attacks = {atk};
   // Production-size server, as in bench/mega_botnet.cpp.
@@ -42,11 +43,6 @@ scenario::Spec botnet_flood_spec(const Options& opt) {
   spec.servers.service_rate = 8800.0;
   spec.servers.listen_backlog = 16'384;
   spec.servers.accept_backlog = 4096;
-  if (opt.quick) {
-    spec.duration = SimTime::seconds(40);
-    spec.attack_start = SimTime::seconds(10);
-    spec.attack_end = SimTime::seconds(35);
-  }
   return spec;
 }
 
@@ -58,11 +54,6 @@ scenario::Spec fleet_hybrid_spec(const Options& opt) {
   // challenged, so the connect p50 sits in the unchallenged mode and the
   // p99 in the challenged one, both stable across seeds.
   spec.attack_end = SimTime::seconds(300);
-  if (opt.quick) {
-    spec.duration = SimTime::seconds(60);
-    spec.attack_start = SimTime::seconds(15);
-    spec.attack_end = SimTime::seconds(30);
-  }
   // 1M mostly idle subscribers (~3.6 requests/user/hour, 1000 req/s in
   // all). A 1e-3 cohort gives 1000 discrete agents, ~600 connect samples.
   spec.workload.model = workload::ModelSpec::hybrid(1'000'000, 1e-3);
@@ -192,16 +183,14 @@ void layer_counts(const scenario::Result& r, const scenario::Spec& spec,
 
 // -- timed runs --------------------------------------------------------------
 
-/// Median wall time of building (and starting) the whole scenario world on
-/// one thread — the scenario's set-up cost.
-double setup_seconds(const scenario::Spec& spec, int reps) {
-  std::vector<double> t;
-  for (int i = 0; i < reps; ++i) {
-    const double t0 = now_s();
-    scenario::Engine engine(spec);
-    t.push_back(now_s() - t0);
-  }
-  return median(t);
+/// Wall seconds of each set-up batch: one before every repetition of a
+/// plain run and one after the last.
+constexpr double kSetupBatchS = 0.25;
+
+/// Samples the scenario's set-up cost: building (and starting) the whole
+/// scenario world on one thread.
+SetupSampler setup_sampler(const scenario::Spec& spec) {
+  return SetupSampler([&spec] { const scenario::Engine engine(spec); });
 }
 
 struct SlicedRun {
@@ -294,17 +283,17 @@ void print_digest(const char* what, std::uint64_t d) {
   std::printf("digest %s 0x%016llx\n", what, static_cast<unsigned long long>(d));
 }
 
-/// Repeats `once` (returns run+collect wall seconds and the digest) until
-/// `seconds` have elapsed, at least `min_reps` times; checks every
-/// repetition reproduces the first digest. Returns the per-rep walls.
+/// Repeats `once` (returns run+collect wall seconds and the digest) at
+/// least once, and again while another repetition as long as the last one
+/// still fits in `seconds`; checks every repetition reproduces the first
+/// digest. Returns the per-rep walls.
 template <typename F>
-std::vector<double> repeat(double seconds, int min_reps, Report& rep, F once) {
+std::vector<double> repeat(double seconds, Report& rep, F once) {
   std::vector<double> walls;
   std::uint64_t first = 0;
   bool same = true;
   const double t0 = now_s();
-  while (walls.size() < static_cast<std::size_t>(min_reps) ||
-         now_s() - t0 < seconds) {
+  while (walls.empty() || now_s() - t0 + walls.back() <= seconds) {
     const auto [wall, d] = once(walls.empty());
     if (walls.empty()) first = d;
     const bool rep_same = d == first;
@@ -324,11 +313,12 @@ std::vector<double> repeat(double seconds, int min_reps, Report& rep, F once) {
 /// The plain run's own metrics: median speed over the repetitions, set-up
 /// and peak memory.
 void plain_metrics(const std::vector<double>& walls, const scenario::Spec& spec,
-                   double setup, Report& rep) {
+                   const SetupSampler& setup, Report& rep) {
   std::vector<double> speeds;
   for (const double wall : walls) speeds.push_back(spec.duration.to_seconds() / wall);
+  std::printf("setups=%llu\n", static_cast<unsigned long long>(setup.count()));
   rep.metric("sim_speed", median(speeds), "s/s");
-  rep.metric("setup_s", setup, "s");
+  rep.metric("setup_s", setup.fastest_s(), "s");
   rep.metric("peak_rss_mb", peak_rss_mb(), "MiB");
 }
 
@@ -355,8 +345,9 @@ void run_botnet_flood(const Options& opt, Report& rep, Spans& spans) {
   print_label(opt, 1, "simulated network (no sockets)", pin_to_last_cpus(1));
 
   if (!opt.trace) {
-    const double setup = setup_seconds(spec, opt.quick ? 3 : 31);
-    const auto walls = repeat(opt.seconds, 1, rep, [&](bool first) {
+    SetupSampler setup = setup_sampler(spec);
+    const auto walls = repeat(opt.seconds, rep, [&](bool first) {
+      setup.sample(kSetupBatchS);
       SlicedRun run = engine_run(spec, false, spans, -1);
       if (first) {
         botnet_checks(run.result, w, rep);
@@ -365,6 +356,7 @@ void run_botnet_flood(const Options& opt, Report& rep, Spans& spans) {
       }
       return std::pair{run.run_collect_s(), digest(run.result)};
     });
+    setup.sample(kSetupBatchS);
     plain_metrics(walls, spec, setup, rep);
     return;
   }
@@ -400,8 +392,9 @@ void run_fleet_hybrid(const Options& opt, Report& rep, Spans& spans) {
     // par::run does not expose its set-up: setup_s is the time to build the
     // whole world on one thread with scenario::Engine, which is what the
     // shards' engines build between them.
-    const double setup = setup_seconds(spec, opt.quick ? 3 : 31);
-    const auto walls = repeat(opt.seconds, 1, rep, [&](bool first) {
+    SetupSampler setup = setup_sampler(spec);
+    const auto walls = repeat(opt.seconds, rep, [&](bool first) {
+      setup.sample(kSetupBatchS);
       const scenario::Result r = par::run(spec, {.shards = kShards});
       if (first) {
         fleet_checks(r, w, rep);
@@ -410,6 +403,7 @@ void run_fleet_hybrid(const Options& opt, Report& rep, Spans& spans) {
       }
       return std::pair{r.wall_seconds, digest(r)};
     });
+    setup.sample(kSetupBatchS);
     plain_metrics(walls, spec, setup, rep);
     return;
   }
