@@ -199,16 +199,30 @@ double peak_rss_mb() {
 }
 
 void SetupSampler::sample(double seconds) {
-  if (count_ == 0) {
+  // Each batch runs on the last CPU, so set-ups neither migrate nor land on
+  // a different CPU from batch to batch; threads a set-up starts inherit it.
+  cpu_set_t saved;
+  const bool pinned = sched_getaffinity(0, sizeof saved, &saved) == 0;
+  if (pinned) pin_to_last_cpus(1);
+  if (samples_.empty()) {
     for (int i = 0; i < 3; ++i) build_();
   }
   const double start = now_s();
   for (int n = 0; n < 5 || now_s() - start < seconds; ++n) {
-    const double t0 = now_s();
+    const double t0 = process_cpu_s();
     build_();
-    const double t = now_s() - t0;
-    fastest_s_ = count_++ == 0 ? t : std::min(fastest_s_, t);
+    samples_.push_back(process_cpu_s() - t0);
   }
+  if (pinned) sched_setaffinity(0, sizeof saved, &saved);
+}
+
+double SetupSampler::median_s() const { return median(samples_); }
+
+void SetupSampler::print() const {
+  std::printf("setups=%zu cpu_ms min=%.4f q1=%.4f median=%.4f q3=%.4f\n",
+              samples_.size(), quantile(samples_, 0) * 1e3,
+              quantile(samples_, 0.25) * 1e3, median_s() * 1e3,
+              quantile(samples_, 0.75) * 1e3);
 }
 
 double quantile(std::vector<double> v, double q) {

@@ -113,13 +113,13 @@ void count_allocations(bool on);
   return quantile(std::move(v), 0.5);
 }
 
-/// Set-up time, sampled in short batches spread over the whole run. One
-/// set-up takes a fraction of a millisecond to a few milliseconds. On a
-/// shared machine its cost swings by up to half between quiet and contended
-/// stretches (other tenants on the sibling hyperthread or the cache), and a
-/// stretch can last seconds, so even the median of a whole second of
-/// set-ups moved by a third from run to run. The fastest set-up of the run
-/// is the quiet cost: work added to set-up raises it, contention does not.
+/// Set-up time, sampled in short batches spread over the whole run and
+/// reported as the median. Each set-up is timed in process CPU time, not
+/// wall time: the wall time also counts waiting for the set-up's threads to
+/// be scheduled and for idle vCPUs to wake, which on a shared virtual
+/// machine swings with other tenants' load; even the fastest wall-clock
+/// set-up of a run spread by 0.30 (IQR/median) over five wire_storm runs.
+/// Sample only while no other thread of the process runs.
 class SetupSampler {
  public:
   /// `build` performs one complete set-up and tear-down.
@@ -127,14 +127,15 @@ class SetupSampler {
   /// Times `build` repeatedly for `seconds` of wall time (at least 5 times).
   /// The first batch is preceded by three untimed warm-up calls.
   void sample(double seconds);
-  /// The fastest set-up over all batches, seconds.
-  [[nodiscard]] double fastest_s() const { return fastest_s_; }
-  [[nodiscard]] std::uint64_t count() const { return count_; }
+  /// The median set-up over all batches, CPU seconds.
+  [[nodiscard]] double median_s() const;
+  [[nodiscard]] std::size_t count() const { return samples_.size(); }
+  /// Prints the sample count and quartiles, ms.
+  void print() const;
 
  private:
   std::function<void()> build_;
-  double fastest_s_ = 0;
-  std::uint64_t count_ = 0;
+  std::vector<double> samples_;
 };
 
 // Workload entry points (each fills the report and returns normally).

@@ -63,13 +63,14 @@ constexpr LayerMetric kPerLayer[] = {
     {"wire.decode_errors", "count", "w"},
     {"wire.unroutable", "count", "w"},
     {"fail_pct", "%", "bfw"},
+    {"connect_p50_ms", "ms", "bfw"},
     {"connect_p99_ms", "ms", "bfw"},
     {"connect_samples", "count", "bfw"},
     {"trace_overhead_pct", "%", "bfw"},
 };
 
 constexpr const char* kEndToEnd[] = {
-    "sim_speed", "capacity_cps", "connect_p50_ms", "setup_s", "peak_rss_mb",
+    "sim_speed", "capacity_cps", "setup_s", "peak_rss_mb",
 };
 
 [[noreturn]] void usage(const char* why) {
