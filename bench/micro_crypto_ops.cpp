@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <tuple>
 
 #include "bench_common.hpp"
 #include "crypto/hmac.hpp"
@@ -513,6 +514,34 @@ int main(int argc, char** argv) {
                 .preimage[0]);
       });
 
+  // --- the SHA-256 block function: portable vs SHA extensions -------------
+  // Each call folds into the state the previous one produced, so this is
+  // per-block latency, the cost a sequential hash chain pays.
+  std::uint8_t block[64];
+  std::memset(block, 0x5c, sizeof block);
+  const auto block_op = [&](crypto::Sha256::CompressFn fn,
+                            crypto::Sha256::State& state) {
+    return [&block, fn, &state](std::uint64_t i) {
+      block[0] = static_cast<std::uint8_t>(i);
+      fn(state, block);
+      return static_cast<std::uint64_t>(state[0]);
+    };
+  };
+  crypto::Sha256::State portable_state = crypto::Sha256::initial_state();
+  crypto::Sha256::State hw_state = portable_state;
+  const crypto::Sha256::CompressFn hw_compress =
+      crypto::Sha256::compress_hardware();
+  Rate compress_portable{};
+  Rate compress_hw{};
+  if (hw_compress) {
+    std::tie(compress_portable, compress_hw) = timed_pair(
+        n, block_op(&crypto::Sha256::compress_portable, portable_state),
+        block_op(hw_compress, hw_state));
+  } else {
+    compress_portable =
+        timed(n, block_op(&crypto::Sha256::compress_portable, portable_state));
+  }
+
   // --- segment copy: the link-delivery closure path, allocation-counted ----
   const tcp::Segment chal_seg = make_challenge_segment();
   const tcp::Segment sol_seg = make_solution_segment();
@@ -528,7 +557,17 @@ int main(int argc, char** argv) {
   });
   const std::uint64_t copy_allocs = tcpz_alloc_count() - allocs_before;
 
+  // The block function Sha256::compress runs, and so every number here used.
+  benchutil::label("sha256_compress", hw_compress ? "sha_ni" : "portable");
   benchutil::metric("ops", static_cast<double>(n));
+  benchutil::metric("compress_portable_ns_per_block",
+                    1e9 / compress_portable.ops_per_sec);
+  if (hw_compress) {
+    benchutil::metric("compress_sha_ni_ns_per_block",
+                      1e9 / compress_hw.ops_per_sec);
+    benchutil::metric("compress_sha_ni_speedup",
+                      compress_hw.ops_per_sec / compress_portable.ops_per_sec);
+  }
   benchutil::metric("hmac_oneshot_ops_per_sec", hmac_ref.ops_per_sec);
   benchutil::metric("hmac_cached_ops_per_sec", hmac_new.ops_per_sec);
   benchutil::metric("hmac_speedup", hmac_new.ops_per_sec / hmac_ref.ops_per_sec);
@@ -570,12 +609,21 @@ int main(int argc, char** argv) {
       "challenge generation >= 1.5x the seed implementation",
       challenge_new.ops_per_sec >= 1.5 * challenge_ref.ops_per_sec);
   benchutil::check("zero heap allocations per segment copy", copy_allocs == 0);
+  if (hw_compress) {
+    benchutil::check(
+        "SHA-extensions block function >= 3x the portable one",
+        compress_hw.ops_per_sec >= 3.0 * compress_portable.ops_per_sec);
+  } else {
+    benchutil::label("sha_ni_floor",
+                     "skipped: this CPU has no SHA extensions");
+  }
 
   // Keep the sinks alive.
   if ((hmac_ref.sink ^ hmac_new.sink ^ verify_valid_ref.sink ^
        verify_valid_new.sink ^ verify_bogus_ref.sink ^ verify_bogus_new.sink ^
        cookie_ref.sink ^ cookie_new.sink ^ challenge_ref.sink ^
-       challenge_new.sink ^ seg_copy.sink) == 0xdeadbeef) {
+       challenge_new.sink ^ seg_copy.sink ^ compress_portable.sink ^
+       compress_hw.sink) == 0xdeadbeef) {
     std::printf("(sink)\n");
   }
   return benchutil::finish();

@@ -3,6 +3,10 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace tcpz::crypto {
 namespace {
 
@@ -40,6 +44,60 @@ constexpr std::uint32_t load_be32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[3]);
 }
 
+#if defined(__x86_64__)
+// The SHA-extensions block function (Gulley et al., "Intel SHA Extensions",
+// 2013). sha256rnds2 runs two rounds on the eight working words held as two
+// quads in ABEF/CDGH order; each 4-round group adds K to one message quad
+// and issues two of them. sha256msg1/msg2 extend the schedule a quad at a
+// time, so only four quads are ever live. Compiled for SHA + SSE4.1 on its
+// own, so the rest of the build needs no -march flag; compress() calls it
+// only after checking the CPU.
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    Sha256::State& state, const std::uint8_t* block) {
+  const auto load = [](const void* p) {
+    return _mm_loadu_si128(static_cast<const __m128i*>(p));
+  };
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+
+  // Lane order is high to low: state[0..3] loads as DCBA, state[4..7] as
+  // HGFE.
+  const __m128i cdab = _mm_shuffle_epi32(load(&state[0]), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(load(&state[4]), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i w[4];
+  for (int i = 0; i < 4; ++i) {
+    w[i] = _mm_shuffle_epi8(load(block + 16 * i), bswap);
+  }
+
+#pragma GCC unroll 16
+  for (int i = 0; i < 16; ++i) {
+    const __m128i wk = _mm_add_epi32(w[i & 3], load(&kK[4 * i]));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    if (i < 12) {
+      // Next quad W[t..t+3], t = 4(i+4): msg1 adds sigma0(W[t-15]) to
+      // W[t-16], the alignr supplies W[t-7], msg2 adds sigma1(W[t-2]).
+      const __m128i w7 = _mm_alignr_epi8(w[(i + 3) & 3], w[(i + 2) & 3], 4);
+      w[i & 3] = _mm_sha256msg2_epu32(
+          _mm_add_epi32(_mm_sha256msg1_epu32(w[i & 3], w[(i + 1) & 3]), w7),
+          w[(i + 3) & 3]);
+    }
+  }
+
+  abef = _mm_shuffle_epi32(_mm_add_epi32(abef, abef_in), 0x1B);  // FEBA
+  cdgh = _mm_shuffle_epi32(_mm_add_epi32(cdgh, cdgh_in), 0xB1);  // DCHG
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(abef, cdgh, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(cdgh, abef, 8));  // HGFE
+}
+#endif
+
 }  // namespace
 
 void Sha256::reset() {
@@ -49,6 +107,25 @@ void Sha256::reset() {
 }
 
 void Sha256::compress(State& state, const std::uint8_t* block) {
+  // Resolved once, on first use: the CPU cannot change under the process.
+  static const CompressFn impl = [] {
+    const CompressFn hw = compress_hardware();
+    return hw ? hw : &compress_portable;
+  }();
+  impl(state, block);
+}
+
+Sha256::CompressFn Sha256::compress_hardware() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+    return &compress_sha_ni;
+  }
+#endif
+  return nullptr;
+}
+
+void Sha256::compress_portable(State& state, const std::uint8_t* block) {
   // The message schedule is kept as a loop (the compiler vectorizes it);
   // the 64 rounds are fully unrolled with the register rotation expressed as
   // argument permutation, so the round state lives in registers end to end —

@@ -44,7 +44,22 @@ class Sha256 {
   /// The keyed hot paths (HMAC midstates, the puzzle solution check) build
   /// fully-padded single blocks on the stack and call this directly,
   /// skipping the incremental buffering/finalization machinery.
+  ///
+  /// Runs the x86-64 SHA-extensions block function when the CPU has them
+  /// (chosen once per process), else compress_portable(). Both produce the
+  /// same bits; the choice only changes speed.
   static void compress(State& state, const std::uint8_t* block);
+
+  using CompressFn = void (*)(State& state, const std::uint8_t* block);
+
+  /// The portable scalar block function: the fallback on CPUs and
+  /// architectures without SHA extensions, and the reference the hardware
+  /// path is tested against.
+  static void compress_portable(State& state, const std::uint8_t* block);
+
+  /// The SHA-extensions block function, or nullptr when this CPU (or
+  /// architecture) lacks it. compress() runs it whenever it is non-null.
+  [[nodiscard]] static CompressFn compress_hardware();
 
   /// Fresh initial state (FIPS 180-4 H(0)), for direct compress() use.
   [[nodiscard]] static State initial_state();

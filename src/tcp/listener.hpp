@@ -212,6 +212,11 @@ class Listener {
   [[nodiscard]] bool is_established(const FlowKey& flow) const {
     return established_.contains(flow);
   }
+  /// True while the flow holds a listen-queue slot — the only state whose
+  /// on_tick() output (SYN-ACK retransmits) is not a reply to a segment.
+  [[nodiscard]] bool is_half_open(const FlowKey& flow) const {
+    return listen_.contains(flow);
+  }
   [[nodiscard]] const ListenerCounters& counters() const { return counters_; }
   [[nodiscard]] const ListenerConfig& config() const { return cfg_; }
   /// The active defense policy (never null).

@@ -66,6 +66,9 @@ class ListenQueue {
   /// False if full or the flow is already present.
   bool insert(const HalfOpenEntry& entry);
   [[nodiscard]] HalfOpenEntry* find(const FlowKey& flow);
+  [[nodiscard]] bool contains(const FlowKey& flow) const {
+    return entries_.contains(flow);
+  }
   void erase(const FlowKey& flow);
 
   /// Applies `fn` to every entry; if it returns false the entry is removed.

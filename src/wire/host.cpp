@@ -29,6 +29,11 @@ void close_if_open(int& fd) {
   }
 }
 
+/// The listener-side flow key of a segment the listener sends.
+tcp::FlowKey flow_of_outgoing(const tcp::Segment& seg) {
+  return {seg.daddr, seg.dport, seg.saddr, seg.sport};
+}
+
 }  // namespace
 
 Host::Host(HostConfig cfg, crypto::SecretKey secret, std::uint64_t seed,
@@ -180,19 +185,37 @@ void Host::drain_udp() {
       ++stats_.decode_errors;
       continue;
     }
-    // Learn (or refresh) the return path for this model address.
-    routes_[result.segment->saddr] = src;
+    const tcp::Segment& seg = *result.segment;
     const SimTime now = clock_.now();
-    for (const auto& out : listener_.on_segment(now, *result.segment)) {
-      transmit(out);
+    for (const auto& out : listener_.on_segment(now, seg)) transmit(out, src);
+    // Learn (or refresh) the return path only if this flow now holds a
+    // listen-queue slot; drop it once the slot is gone.
+    const tcp::FlowKey flow = tcp::FlowKey::from_incoming(seg);
+    if (listener_.is_half_open(flow)) {
+      routes_.insert_or_assign(flow, src);
+    } else {
+      routes_.erase(flow);
     }
+    stats_.routes = routes_.size();
   }
 }
 
 void Host::on_tick() {
   ++stats_.ticks;
   const SimTime now = clock_.now();
-  for (const auto& out : listener_.on_tick(now)) transmit(out);
+  for (const auto& out : listener_.on_tick(now)) {
+    const auto it = routes_.find(flow_of_outgoing(out));
+    if (it == routes_.end()) {
+      ++stats_.unroutable;
+    } else {
+      transmit(out, it->second);
+    }
+  }
+  // Half-open entries this tick expired take their routes with them.
+  std::erase_if(routes_, [this](const auto& route) {
+    return !listener_.is_half_open(route.first);
+  });
+  stats_.routes = routes_.size();
   drain_accepts(now);
 }
 
@@ -212,18 +235,15 @@ void Host::drain_accepts(SimTime now) {
   }
 }
 
-void Host::transmit(const tcp::Segment& seg) {
-  const auto it = routes_.find(seg.daddr);
-  if (it == routes_.end()) {
-    ++stats_.unroutable;
-    return;
-  }
+void Host::transmit(const tcp::Segment& seg, const sockaddr_in& to) {
   const Bytes bytes = tcp::encode_segment(seg);
-  const ssize_t n =
-      ::sendto(udp_fd_, bytes.data(), bytes.size(), 0,
-               reinterpret_cast<const sockaddr*>(&it->second),
-               sizeof it->second);
-  if (n == static_cast<ssize_t>(bytes.size())) ++stats_.tx_datagrams;
+  const ssize_t n = ::sendto(udp_fd_, bytes.data(), bytes.size(), 0,
+                             reinterpret_cast<const sockaddr*>(&to), sizeof to);
+  if (n == static_cast<ssize_t>(bytes.size())) {
+    ++stats_.tx_datagrams;
+  } else {
+    ++stats_.tx_errors;
+  }
 }
 
 void Host::publish_metrics(obs::Registry& reg, std::string_view labels) const {
@@ -234,6 +254,8 @@ void Host::publish_metrics(obs::Registry& reg, std::string_view labels) const {
   reg.counter("wire.tx_datagrams", labels,
               static_cast<double>(stats_.tx_datagrams),
               "datagrams transmitted by the wire host");
+  reg.counter("wire.tx_errors", labels, static_cast<double>(stats_.tx_errors),
+              "datagrams sendto failed to send whole");
   reg.counter("wire.decode_errors", labels,
               static_cast<double>(stats_.decode_errors),
               "datagrams the wire codec rejected");
@@ -246,6 +268,8 @@ void Host::publish_metrics(obs::Registry& reg, std::string_view labels) const {
               "epoll wakeups");
   reg.counter("wire.accepted", labels, static_cast<double>(stats_.accepted),
               "connections drained via accept()");
+  reg.gauge("wire.routes", labels, static_cast<double>(stats_.routes),
+            "learned return paths held for half-open flows");
 }
 
 }  // namespace tcpz::wire

@@ -17,10 +17,14 @@
 // control, retransmission of data, path MTU — none of which the handshake
 // defenses touch.
 //
-// Return routing is learned, not configured: the host remembers the UDP
-// source address of the last datagram seen from each model address and
-// answers there — exactly how the listener's statelessness is meant to work
-// (a challenge response needs no per-flow state, only a return path).
+// Return routing is learned, not configured. Every segment the listener
+// emits in reply to a datagram goes back to that datagram's UDP source, so
+// a challenge response needs no per-flow state, only the packet in hand —
+// exactly how the listener's statelessness is meant to work. The only
+// unsolicited output is the on_tick() SYN-ACK retransmit of a half-open
+// flow, so the host keeps a learned route for a flow exactly while the
+// listener holds its listen-queue slot. Host memory therefore tracks
+// listener state, not the number of (spoofed) sources that sent a SYN.
 //
 // Threading contract: everything inside run() — the listener, the policy,
 // the route map, TCPZ_TRACE sites — is touched only by the host thread.
@@ -51,11 +55,13 @@ namespace tcpz::wire {
 struct HostStats {
   std::uint64_t rx_datagrams = 0;
   std::uint64_t tx_datagrams = 0;
+  std::uint64_t tx_errors = 0;      ///< sendto failed or sent a short datagram
   std::uint64_t decode_errors = 0;  ///< datagrams the wire codec rejected
-  std::uint64_t unroutable = 0;     ///< no learned return path for daddr
+  std::uint64_t unroutable = 0;     ///< retransmits with no learned route
   std::uint64_t ticks = 0;          ///< timerfd firings processed
   std::uint64_t wakeups = 0;        ///< epoll_wait returns
   std::uint64_t accepted = 0;       ///< connections drained via accept()
+  std::uint64_t routes = 0;         ///< learned return paths held right now
 };
 
 struct HostConfig {
@@ -114,7 +120,7 @@ class Host {
   void drain_udp();
   void on_tick();
   void drain_accepts(SimTime now);
-  void transmit(const tcp::Segment& seg);
+  void transmit(const tcp::Segment& seg, const sockaddr_in& to);
 
   HostConfig cfg_;
   Clock clock_;
@@ -126,8 +132,9 @@ class Host {
   int epoll_fd_ = -1;
   std::uint16_t bound_port_ = 0;
 
-  /// Learned return paths: model saddr -> UDP source of its last datagram.
-  std::unordered_map<std::uint32_t, sockaddr_in> routes_;
+  /// Learned return paths of the half-open flows: flow -> UDP source of its
+  /// last datagram.
+  std::unordered_map<tcp::FlowKey, sockaddr_in, tcp::FlowKeyHash> routes_;
   HostStats stats_;
   double accept_tokens_ = 0;
 

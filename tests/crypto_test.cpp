@@ -82,6 +82,66 @@ TEST(Sha256, ResetReusesObject) {
 }
 
 // ---------------------------------------------------------------------------
+// Block functions. The vectors above and the RFC 4231 ones below run
+// through the dispatched compress(), so through the hardware block function
+// where the CPU has it; these tests pin each block function on its own.
+// ---------------------------------------------------------------------------
+
+/// SHA-256 of `msg` with every block folded by `fn` (FIPS 180-4 padding).
+std::string digest_with(Sha256::CompressFn fn, std::string_view msg) {
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  put_u64be(padded, static_cast<std::uint64_t>(msg.size()) * 8);
+  Sha256::State state = Sha256::initial_state();
+  for (std::size_t off = 0; off < padded.size(); off += 64) {
+    fn(state, padded.data() + off);
+  }
+  return digest_hex(Sha256::state_to_digest(state));
+}
+
+void expect_fips_vectors(Sha256::CompressFn fn) {
+  EXPECT_EQ(digest_with(fn, ""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(digest_with(fn, "abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      digest_with(fn,
+                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(digest_with(fn, std::string(1'000'000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256Compress, PortableMatchesFipsVectors) {
+  expect_fips_vectors(&Sha256::compress_portable);
+}
+
+TEST(Sha256Compress, HardwareMatchesFipsVectors) {
+  const Sha256::CompressFn hw = Sha256::compress_hardware();
+  if (!hw) GTEST_SKIP() << "this CPU has no SHA extensions";
+  expect_fips_vectors(hw);
+}
+
+TEST(Sha256Compress, HardwareMatchesPortableOnRandomBlocks) {
+  const Sha256::CompressFn hw = Sha256::compress_hardware();
+  if (!hw) GTEST_SKIP() << "this CPU has no SHA extensions";
+  // Random states, not just H(0) and its successors: HMAC midstates and
+  // multi-block messages feed compress() arbitrary chaining values.
+  Rng rng(20261017);
+  for (int iter = 0; iter < 20'000; ++iter) {
+    Sha256::State state;
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng.next());
+    std::uint8_t block[64];
+    for (auto& b : block) b = static_cast<std::uint8_t>(rng.next());
+    Sha256::State expect = state;
+    Sha256::compress_portable(expect, block);
+    hw(state, block);
+    ASSERT_EQ(state, expect) << "iteration " << iter;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // prefix bits
 // ---------------------------------------------------------------------------
 

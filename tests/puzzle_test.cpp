@@ -269,6 +269,27 @@ TEST(Sha256Engine, DifferentSecretsRejectSolutions) {
   EXPECT_FALSE(b.verify(flow, sol, Difficulty{1, 8}, 20).ok);
 }
 
+TEST(Sha256Engine, SolveVerifyRoundTripAcrossDifficulties) {
+  // Every solve and verify candidate is one dispatched Sha256::compress
+  // (the hardware block function where the CPU has it): a solution found
+  // with it must verify with it, from the easiest puzzle to a multi-value
+  // one with a 12-bit prefix.
+  const Sha256PuzzleEngine engine(crypto::SecretKey::from_seed(10), {});
+  Rng rng(5);
+  const auto flow = test_flow();
+  for (const Difficulty diff : {Difficulty{1, 1}, Difficulty{2, 8},
+                                Difficulty{4, 12}}) {
+    const Challenge ch = engine.make_challenge(flow, 100, diff);
+    std::uint64_t ops = 0;
+    const Solution sol = engine.solve(ch, flow, rng, ops);
+    ASSERT_EQ(sol.values.size(), diff.k);
+    EXPECT_GE(ops, diff.k);
+    const VerifyOutcome out = engine.verify(flow, sol, diff, 200);
+    EXPECT_TRUE(out.ok) << "k=" << diff.k << " m=" << diff.m << ": "
+                        << to_string(out.error);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Oracle-engine specifics
 // ---------------------------------------------------------------------------

@@ -393,6 +393,50 @@ TEST(WireHost, SpoofedSynFloodChallengedStatelessly) {
   EXPECT_EQ(c.challenges_sent, c.syns_received);
   EXPECT_EQ(c.established_total, 0u);
   EXPECT_EQ(host.listener().listen_depth(), 0u);
+  EXPECT_EQ(host.stats().routes, 0u);
+}
+
+TEST(WireHost, SpoofedSourcesLeaveRoutesBoundedByListenQueue) {
+  // Opportunistic puzzles: the first SYNs take listen-queue slots, every
+  // later one is challenged statelessly. The host may keep a return path
+  // only for the flows holding a slot, however many sources send SYNs.
+  HostConfig hc = puzzle_host_config();
+  hc.listener.policy = defense::PolicySpec::puzzles().factory();
+  hc.listener.listen_backlog = 64;
+  Host host(hc, crypto::SecretKey::from_seed(61), 1, test_engine(61));
+  host.start();
+
+  shim::UdpTransport net(0);
+  net.add_route(kServerAddr, host.bound_port());
+  constexpr std::uint32_t kSources = 12'000;
+  constexpr std::uint32_t kBatch = 100;
+  std::uint64_t replies = 0;
+  for (std::uint32_t sent = 0; sent < kSources;) {
+    for (const std::uint32_t end = sent + kBatch; sent < end; ++sent) {
+      tcp::Segment syn;
+      syn.saddr = ipv4(10, 200, sent >> 8, sent & 0xff);
+      syn.daddr = kServerAddr;
+      syn.sport = 40'000;
+      syn.dport = 80;
+      syn.seq = sent * 7919;
+      syn.flags = tcp::kSyn;
+      syn.options.mss = 1460;
+      ASSERT_TRUE(net.send(syn));
+    }
+    // Self-clock on the replies (one SYN-ACK or challenge per SYN) so no
+    // SYN is lost to a full host socket buffer.
+    while (replies < sent && net.recv(1000)) ++replies;
+  }
+  host.stop();
+  host.join();
+
+  const tcp::ListenerCounters& c = host.counters();
+  EXPECT_GE(c.syns_received, 10'000u);
+  EXPECT_GT(c.challenges_sent, c.syns_received / 2);
+  EXPECT_EQ(host.listener().listen_depth(), hc.listener.listen_backlog);
+  EXPECT_LE(host.stats().routes, host.listener().listen_depth());
+  EXPECT_GT(host.stats().routes, 0u);
+  EXPECT_EQ(host.stats().tx_errors, 0u);
 }
 
 TEST(WireHost, BogusSolutionFloodBurnsVerificationOnly) {
@@ -446,6 +490,7 @@ TEST(WireHost, CrossValidationCleanPuzzlePath) {
   const tcp::ListenerCounters& wire = host.counters();
   ASSERT_GT(wire.syns_received, 100u);
   EXPECT_EQ(stats.established, wire.established_total);
+  EXPECT_EQ(host.stats().tx_errors, 0u);
 
   // Equivalent sim run: solving clients against the same policy spec.
   scenario::Spec spec;
