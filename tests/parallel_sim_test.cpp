@@ -5,7 +5,9 @@
 //    tests pin, so the Engine refactor + par driver reproduce history
 //    exactly.
 //  * A fixed (seed, shards) pair is deterministic across repeats, for both
-//    result digests and the merged flight-recorder trace, at N in {2,4,8}.
+//    result digests and the merged flight-recorder trace, at N in {2,4,8},
+//    and pinned to golden result digests at N in {2,4} (fleet at 4), so a
+//    change to the round protocol cannot move sharded results unnoticed.
 //  * Sharded runs are statistically equivalent to the single-thread run
 //    (derived RNG streams are shard-count-independent; only cross-shard
 //    queueing is approximated).
@@ -132,6 +134,38 @@ TEST(ParallelSim, ShardedFleetIsDeterministic) {
   EXPECT_GT(a.cluster.established_total, 0u);
   EXPECT_EQ(a.secret_rotations, b.secret_rotations);
   EXPECT_GT(a.secret_rotations, 0u);
+}
+
+// Sharded results are pinned per (seed, shards), not just repeatable: any
+// change to where the round protocol injects cross-shard mail (and so to
+// event sequence numbers) moves these digests.
+TEST(ParallelSim, ShardedDigestsMatchGoldens) {
+  struct Golden {
+    int shards;
+    bool fleet;
+    std::uint64_t digest;
+    std::uint64_t events;
+  };
+  const Golden goldens[] = {
+      {2, false, 0x35c63da11271cbaaull, 231'898},
+      {4, false, 0x4118d9689cc0b84aull, 240'561},
+      {4, true, 0x8fe8ec8326e34c00ull, 249'615},
+  };
+  for (const Golden& g : goldens) {
+    scenario::Spec s = par_fixture();
+    if (g.fleet) {
+      s.fleet.enabled = true;
+      s.fleet.rotation_interval = SimTime::seconds(10);
+      s.fleet.rotation_overlap = SimTime::seconds(3);
+      s.servers.count = 3;
+    }
+    const scenario::Result r = par::run(s, {.shards = g.shards});
+    EXPECT_EQ(full_digest(r), g.digest)
+        << g.shards << " shards, fleet=" << g.fleet << ": computed 0x"
+        << std::hex << full_digest(r);
+    EXPECT_EQ(r.events_processed, g.events)
+        << g.shards << " shards, fleet=" << g.fleet;
+  }
 }
 
 // Derived RNG streams are shard-count-independent, and the paper-facing
