@@ -96,8 +96,11 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
   }
 
   const ShardPlan plan = plan_shards(spec, n);
-  std::vector<Mailbox> boxes(static_cast<std::size_t>(n) *
-                             static_cast<std::size_t>(n));
+  // Two banks of n x n mailboxes, (bank, src, dst) row-major. Round r
+  // writes bank r % 2 and drains it after its barrier, while the shards
+  // that finish draining early run round r + 1 into the other bank.
+  const auto nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+  std::vector<Mailbox> boxes(2 * nn);
   SpinBarrier barrier(n);
   std::vector<ShardSlot> slots(static_cast<std::size_t>(n));
 
@@ -113,6 +116,9 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
       scoped.emplace(slot.recorder.get());
     }
 
+    // Offset of the mailbox bank this shard's current round writes (and
+    // then drains); flips after every round. env.send refers to it.
+    std::size_t bank = 0;
     // The engine keeps a pointer to the env for its whole lifetime (the
     // portal sinks call env.send mid-round), so it must outlive `eng`.
     scenario::ShardEnv env;
@@ -123,11 +129,13 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
       env.server_owner = plan.server_owner;
       env.client_owner = plan.client_owner;
       env.bot_owner = plan.bot_owner;
-      env.send = [&boxes, &plan, s, n](SimTime at, const tcp::Segment& seg) {
+      env.send = [&boxes, &plan, &bank, s, n](SimTime at,
+                                              const tcp::Segment& seg) {
         // Portals only ever see destinations with installed routes, and
         // routes exist exactly for planned remote addresses.
         const int dst = plan.addr_owner.at(seg.daddr);
-        boxes[static_cast<std::size_t>(s) * static_cast<std::size_t>(n) +
+        boxes[bank +
+              static_cast<std::size_t>(s) * static_cast<std::size_t>(n) +
               static_cast<std::size_t>(dst)]
             .msgs.push_back({at, seg});
       };
@@ -136,9 +144,9 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
       slot.error = std::current_exception();
     }
 
-    // Bounded-lookahead rounds. Every shard executes the same round count,
-    // so the barrier protocol stays balanced even if this shard failed —
-    // a dead shard just drains its inboxes into the void.
+    // Bounded-lookahead rounds, one barrier each. Every shard executes the
+    // same round count, so the barrier protocol stays balanced even if this
+    // shard failed — a dead shard just drains its inboxes into the void.
     bool sense = false;
     SimTime now = SimTime::zero();
     while (now < spec.duration) {
@@ -154,8 +162,11 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
       barrier.arrive_and_wait(sense);
       // Drain phase: fixed source order makes event sequence numbers — and
       // therefore tie-breaking among same-timestamp events — deterministic.
+      // No shard writes this bank again until every shard has passed the
+      // next round's barrier, by which time this drain is done.
       for (int src = 0; src < n; ++src) {
-        auto& inbox = boxes[static_cast<std::size_t>(src) *
+        auto& inbox = boxes[bank +
+                            static_cast<std::size_t>(src) *
                                 static_cast<std::size_t>(n) +
                             static_cast<std::size_t>(s)]
                           .msgs;
@@ -169,7 +180,7 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
         }
         inbox.clear();
       }
-      barrier.arrive_and_wait(sense);
+      bank = nn - bank;
       now = horizon;
     }
     if (eng) {

@@ -4,10 +4,11 @@
 // conservative bounded-lookahead rounds. Each shard runs freely up to
 // `now + L` where L is the minimum cross-shard link delay (a property of
 // the topology — every cross-agent interaction flows through at least one
-// such hop); cross-shard segments are exchanged via SPSC mailboxes at a
-// two-phase round barrier and re-injected with their analytic arrival
-// times. See DESIGN.md, "Sharded engine", for the lookahead derivation,
-// the determinism contract and the mailbox memory order.
+// such hop); cross-shard segments are exchanged via SPSC mailboxes, in two
+// banks that alternate by round parity so a round needs one barrier, and
+// re-injected with their analytic arrival times. See DESIGN.md, "Sharded
+// engine", for the lookahead derivation, the determinism contract and the
+// mailbox memory order.
 //
 // Determinism: a fixed (seed, shards) pair always produces the same result
 // and trace digest — mailboxes are drained in fixed source-shard order, so

@@ -1,16 +1,21 @@
 // Cross-shard plumbing for the sharded engine: SPSC mailboxes and the
-// sense-reversing spin barrier that separates a round's write phase from
-// its drain phase.
+// sense-reversing spin barrier that ends each round.
 //
 // Memory-order contract (also documented in DESIGN.md, "Sharded engine"):
-// a mailbox (src, dst) is written only by shard `src` during the round's
-// write phase (its portals push while the simulator runs) and read+cleared
-// only by shard `dst` during the drain phase. The two phases are separated
-// by SpinBarrier::arrive_and_wait, whose release store / acquire load pair
-// on the sense word publishes every pre-barrier write to every post-barrier
-// reader — so the mailbox itself needs no atomics at all: it is a plain
-// vector with exactly one writer per phase. ThreadSanitizer agrees (the CI
-// tsan job runs the parallel tests under -fsanitize=thread).
+// the mailboxes come in two banks, used by alternate rounds. In round r a
+// mailbox (src, dst) of bank r % 2 is written only by shard `src` (its
+// portals push while the simulator runs); after the round's barrier it is
+// read and cleared only by shard `dst`, which then runs round r + 1 into
+// bank (r + 1) % 2. A bank is never written while it is being drained: the
+// next writes to bank r % 2 belong to round r + 2, which no shard starts
+// before passing round r + 1's barrier, and no shard arrives there before
+// it has finished draining bank r % 2. Each SpinBarrier::arrive_and_wait
+// is a release store / acquire load pair on the sense word, so it publishes
+// every write made before it (the round's pushes, the previous drain's
+// clears) to every shard after it — the mailbox itself needs no atomics at
+// all: it is a plain vector with exactly one writer or one reader at a
+// time. ThreadSanitizer agrees (the CI tsan job runs the parallel tests
+// under -fsanitize=thread).
 //
 // Cache-line discipline: mailboxes and the barrier's contended words are
 // alignas(64) so two shards never false-share a line. The delta is measured

@@ -123,6 +123,7 @@ void AttackerAgent::launch_attempt(SimTime now, bool patched,
 
   auto [it, inserted] = attempts_.emplace(
       sport, Attempt{tcp::Connector(ccfg, rng_.next()), now, {}});
+  launches_.push_back({now, sport});
   report_.attempts.add(now, 1.0);
   ++report_.total_attempts;
   apply(now, sport, it->second.connector.start(now));
@@ -274,29 +275,81 @@ void AttackerAgent::tick_loop() {
   if (now >= until_) return;
   sim_.schedule_in(cfg_.tick_interval, [this] {
     const SimTime t = sim_.now();
-    // Recycle in-flight slots whose attempt went nowhere. Attempts with an
-    // admitted solve in progress get a grace period (the kernel finishes a
-    // running search even when the tool has lost interest).
-    std::vector<std::uint16_t> stale;
-    for (const auto& [sport, attempt] : attempts_) {
-      const bool solving =
-          attempt.connector.state() == tcp::ConnectorState::kSolving &&
-          static_cast<bool>(attempt.solve_timer);
-      const SimTime limit =
-          solving ? cfg_.attempt_timeout * 3 : cfg_.attempt_timeout;
-      if (t - attempt.started > limit) stale.push_back(sport);
-    }
-    for (const std::uint16_t sport : stale) {
-      report_.failures.add(t, 1.0);
-      ++report_.total_failures;
-      // Descheduling the admitted solve models the tool closing its socket:
-      // the queued search is abandoned rather than firing as a tombstone.
-      erase_attempt(attempts_.find(sport));
-      TCPZ_TRACE(t, obs::Code::kOutcomeTimeout, cfg_.trace_track, sport);
-      strategy_->on_outcome(view(t), offense::Outcome::kTimeout);
-    }
+    expire_attempts(t);
     if (t < cfg_.attack_end) tick_loop();
   });
+}
+
+// Recycle in-flight slots whose attempt went nowhere: an attempt times out
+// once older than attempt_timeout, or, while an admitted solve is still
+// running for it, once older than 3 x attempt_timeout (the kernel finishes
+// a running search even when the tool has lost interest).
+//
+// The tick visits only what may be due, not every attempt in flight.
+// Attempts start in nondecreasing sim time, so launches_ is ordered by age
+// and the tick pops only its expired prefix. A popped attempt that is still
+// solving moves to grace_, which the tick re-judges in full with the same
+// rule (it holds only the few attempts solving past their timeout). Entries
+// are validated lazily against the live attempt by start time: an attempt
+// that ended, or whose source port now carries a newer attempt, leaves a
+// stale entry that is dropped when reached.
+//
+// The order of the timeouts within one tick is not observable, so it may
+// differ from the attempt map's iteration order: every strategy ignores
+// kTimeout outcomes, `failures` bins by the tick's time, source-port
+// allocation looks only at which ports are in use, and the in-flight count
+// a strategy sees falls by one per timeout either way.
+void AttackerAgent::expire_attempts(SimTime now) {
+  while (!launches_.empty()) {
+    const AttemptRef ref = launches_.front();
+    if (const auto it = live(ref); it != attempts_.end()) {
+      if (now - it->second.started <= cfg_.attempt_timeout) break;
+      if (solving(it->second)) {
+        grace_.push_back(ref);
+      } else {
+        time_out(now, it);
+      }
+    }
+    launches_.pop_front();
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < grace_.size(); ++i) {
+    const AttemptRef ref = grace_[i];
+    const auto it = live(ref);
+    if (it == attempts_.end()) continue;
+    const SimTime limit = solving(it->second) ? cfg_.attempt_timeout * 3
+                                              : cfg_.attempt_timeout;
+    if (now - it->second.started > limit) {
+      time_out(now, it);
+    } else {
+      grace_[kept++] = ref;
+    }
+  }
+  grace_.resize(kept);
+}
+
+AttackerAgent::AttemptMap::iterator AttackerAgent::live(AttemptRef ref) {
+  const auto it = attempts_.find(ref.sport);
+  if (it == attempts_.end() || it->second.started != ref.started) {
+    return attempts_.end();
+  }
+  return it;
+}
+
+bool AttackerAgent::solving(const Attempt& attempt) const {
+  return attempt.connector.state() == tcp::ConnectorState::kSolving &&
+         static_cast<bool>(attempt.solve_timer);
+}
+
+void AttackerAgent::time_out(SimTime now, AttemptMap::iterator it) {
+  const std::uint16_t sport = it->first;
+  report_.failures.add(now, 1.0);
+  ++report_.total_failures;
+  // Descheduling the admitted solve models the tool closing its socket: the
+  // queued search is abandoned rather than firing as a tombstone.
+  erase_attempt(it);
+  TCPZ_TRACE(now, obs::Code::kOutcomeTimeout, cfg_.trace_track, sport);
+  strategy_->on_outcome(view(now), offense::Outcome::kTimeout);
 }
 
 void AttackerAgent::sample_loop() {

@@ -22,6 +22,7 @@
 #include "sim/cpu.hpp"
 #include "sim/metrics.hpp"
 #include "tcp/connector.hpp"
+#include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 
 namespace tcpz::sim {
@@ -89,10 +90,26 @@ class AttackerAgent {
 
   using AttemptMap = std::unordered_map<std::uint16_t, Attempt>;
 
+  /// A deadline-queue entry: names one launched attempt by source port and
+  /// start time (a recycled port's attempts start at different times). It
+  /// goes stale when that attempt ends, and is dropped when the tick
+  /// reaches it.
+  struct AttemptRef {
+    SimTime started;
+    std::uint16_t sport = 0;
+  };
+
   [[nodiscard]] offense::BotView view(SimTime now);
   void on_segment(SimTime now, const tcp::Segment& seg);
   void flood_loop();
   void tick_loop();
+  /// Times out every attempt the tool has given up on at `now` (the queue
+  /// discipline is described at its definition).
+  void expire_attempts(SimTime now);
+  /// The live attempt `ref` names, or end() if it has ended.
+  [[nodiscard]] AttemptMap::iterator live(AttemptRef ref);
+  [[nodiscard]] bool solving(const Attempt& attempt) const;
+  void time_out(SimTime now, AttemptMap::iterator it);
   void sample_loop();
   void launch_attempt(SimTime now, bool patched, std::size_t target);
   void send_spoofed_syn(SimTime now, std::size_t target);
@@ -113,6 +130,11 @@ class AttackerAgent {
   std::unique_ptr<offense::AttackStrategy> strategy_;
 
   AttemptMap attempts_;
+  /// Every launched attempt, in launch (so start-time) order.
+  RingQueue<AttemptRef> launches_;
+  /// Attempts past attempt_timeout that were still solving when the tick
+  /// reached them, in the order they got there.
+  std::vector<AttemptRef> grace_;
   std::uint16_t next_sport_ = 1024;
   int pending_solves_ = 0;
 };

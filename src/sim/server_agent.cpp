@@ -92,6 +92,8 @@ void ServerAgent::drain_accept_queue(SimTime now) {
     if (early_requests_.contains(conn->flow)) {
       state.has_request = true;
       ready_.push_back(conn->flow);
+    } else {
+      idle_.push_back({conn->flow, now});
     }
     workers_.emplace(conn->flow, state);
   }
@@ -125,17 +127,7 @@ void ServerAgent::tick_loop() {
     send_all(listener_.on_tick(now));
     cpu_.charge_hash_ops(listener_.take_hash_ops());
 
-    // Reap workers pinned by request-less connections (flood bots).
-    for (auto it = workers_.begin(); it != workers_.end();) {
-      if (!it->second.has_request &&
-          now - it->second.accepted_at > cfg_.app_idle_timeout) {
-        listener_.close(it->first);
-        early_requests_.erase(it->first);
-        it = workers_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    reap_idle_workers(now);
     // Early requests whose connection evaporated (closed before accept).
     for (auto it = early_requests_.begin(); it != early_requests_.end();) {
       if (!listener_.is_established(it->first)) {
@@ -147,6 +139,29 @@ void ServerAgent::tick_loop() {
     drain_accept_queue(now);
     tick_loop();
   });
+}
+
+// Reap workers pinned by request-less connections (flood bots): those idle
+// for longer than app_idle_timeout. Workers are accepted in nondecreasing
+// sim time, so idle_ is ordered by deadline and the tick pops only its
+// expired prefix. Entries are validated lazily: one whose worker has since
+// got its request, been closed, or been replaced by a later acceptance of
+// the same 4-tuple (a different accepted_at) is dropped when reached. The
+// order of the reaps within one tick is not observable: each only erases
+// its own flow's state.
+void ServerAgent::reap_idle_workers(SimTime now) {
+  while (!idle_.empty()) {
+    const IdleWorker w = idle_.front();
+    const auto it = workers_.find(w.flow);
+    if (it != workers_.end() && it->second.accepted_at == w.accepted_at &&
+        !it->second.has_request) {
+      if (now - w.accepted_at <= cfg_.app_idle_timeout) break;
+      listener_.close(w.flow);
+      early_requests_.erase(w.flow);
+      workers_.erase(it);
+    }
+    idle_.pop_front();
+  }
 }
 
 void ServerAgent::sample_loop() {

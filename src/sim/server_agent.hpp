@@ -20,6 +20,7 @@
 #include "sim/cpu.hpp"
 #include "sim/metrics.hpp"
 #include "tcp/listener.hpp"
+#include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 #include "workload/profiles.hpp"
 
@@ -66,12 +67,20 @@ class ServerAgent {
     bool has_request = false;
   };
 
+  /// An idle-reaper queue entry: a worker accepted without a request. It
+  /// goes stale once that worker gets its request or is closed.
+  struct IdleWorker {
+    tcp::FlowKey flow;
+    SimTime accepted_at;
+  };
+
   void on_segment(SimTime now, const tcp::Segment& seg);
   void on_request(SimTime now, const tcp::FlowKey& flow, const tcp::Segment& seg);
   void service_loop();
   void tick_loop();
   void sample_loop();
   void drain_accept_queue(SimTime now);
+  void reap_idle_workers(SimTime now);
   void send_all(const std::vector<tcp::Segment>& segs);
   void respond_and_close(SimTime now, const tcp::FlowKey& flow);
 
@@ -86,6 +95,8 @@ class ServerAgent {
 
   /// Connections holding a worker (accepted, not yet responded/reaped).
   std::unordered_map<tcp::FlowKey, WorkerState, tcp::FlowKeyHash> workers_;
+  /// Workers accepted without a request, in accept (so deadline) order.
+  RingQueue<IdleWorker> idle_;
   /// Workers whose request has arrived, FIFO for the service loop.
   std::deque<tcp::FlowKey> ready_;
   /// Requests that arrived before accept() got to the connection.

@@ -169,7 +169,7 @@ void Host::run() {
 
 void Host::drain_udp() {
   std::uint8_t buf[2048];
-  for (;;) {
+  for (int served = 0; served < kMaxDatagramsPerWakeup;) {
     sockaddr_in src{};
     socklen_t slen = sizeof src;
     const ssize_t n = ::recvfrom(udp_fd_, buf, sizeof buf, 0,
@@ -178,6 +178,7 @@ void Host::drain_udp() {
       if (errno == EINTR) continue;
       return;  // EAGAIN: drained
     }
+    ++served;
     ++stats_.rx_datagrams;
     const auto result = tcp::decode_segment(
         std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));

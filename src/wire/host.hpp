@@ -87,6 +87,14 @@ struct HostConfig {
 /// and creates the timers; start() spawns the loop thread.
 class Host {
  public:
+  /// Datagrams served per wakeup of the socket before the loop returns to
+  /// epoll_wait. A socket that never runs dry would otherwise starve the
+  /// timer: no on_tick(), so no accept() draining, so a full accept queue
+  /// and ignored final ACKs — the §5 deception, caused by the event loop
+  /// rather than the policy. epoll is level-triggered, so a socket with a
+  /// backlog is reported again on the very next wait.
+  static constexpr int kMaxDatagramsPerWakeup = 64;
+
   /// Engine may be null unless the policy needs one (same contract as
   /// tcp::Listener). Throws std::runtime_error on socket/epoll errors.
   Host(HostConfig cfg, crypto::SecretKey secret, std::uint64_t seed,

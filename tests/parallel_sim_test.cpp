@@ -14,6 +14,8 @@
 //  * Cross-shard delivery ordering: draining mailboxes in fixed source
 //    order and scheduling into the simulator reproduces a reference
 //    model's (time, drain-order) total order.
+//  * The barrier separates phases, and one barrier per round suffices when
+//    rounds alternate between two banks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -278,6 +280,38 @@ TEST(ParallelSim, SpinBarrierSeparatesPhases) {
           if (cells[o] != static_cast<std::uint64_t>(r) + 1) ++failures[t];
         }
         barrier.arrive_and_wait(sense);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
+}
+
+// The engine's round protocol: one barrier per round over two banks that
+// alternate by round parity. Each thread writes its own cell of bank r % 2,
+// waits once, then reads every thread's cell of that bank while faster
+// threads already write round r + 1 into the other bank. A bank rewritten
+// before its readers finish shows up as a wrong value here (and as a race
+// under TSan).
+TEST(ParallelSim, BankedCellsNeedOneBarrierPerRound) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  par::SpinBarrier barrier(kThreads);
+  std::vector<std::uint64_t> cells(2 * kThreads, 0);
+  std::vector<std::thread> threads;
+  std::vector<int> failures(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      bool sense = false;
+      for (int r = 0; r < kRounds; ++r) {
+        const std::size_t bank = static_cast<std::size_t>(r % 2) * kThreads;
+        cells[bank + t] = static_cast<std::uint64_t>(r) + 1;
+        barrier.arrive_and_wait(sense);
+        for (int o = 0; o < kThreads; ++o) {
+          if (cells[bank + o] != static_cast<std::uint64_t>(r) + 1) {
+            ++failures[t];
+          }
+        }
       }
     });
   }

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <set>
 
 #include "util/bytes.hpp"
+#include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -323,6 +325,38 @@ TEST(Rng, DerivedStreamsAreDecorrelated) {
   Rng d1 = Rng::derive(42, 1);
   Rng d2 = Rng::derive(42, 1);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(d1.next(), d2.next());
+}
+
+// ---------------------------------------------------------------------------
+// RingQueue
+// ---------------------------------------------------------------------------
+
+// Interleaved pushes and pops against std::deque: the ring wraps, and grows
+// while wrapped, many times over without losing FIFO order.
+TEST(RingQueue, MatchesDequeThroughWrapsAndGrowth) {
+  RingQueue<std::uint64_t> ring;
+  std::deque<std::uint64_t> ref;
+  Rng rng(11);
+  std::uint64_t next = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    // Push-biased early, pop-biased late, so the queue grows then drains.
+    const std::uint64_t push_odds = step < 10'000 ? 6 : 4;
+    if (ref.empty() || rng.uniform_u64(10) < push_odds) {
+      ring.push_back(next);
+      ref.push_back(next++);
+    } else {
+      ASSERT_EQ(ring.front(), ref.front()) << "step " << step;
+      ring.pop_front();
+      ref.pop_front();
+    }
+    ASSERT_EQ(ring.empty(), ref.empty());
+  }
+  while (!ref.empty()) {
+    ASSERT_EQ(ring.front(), ref.front());
+    ring.pop_front();
+    ref.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 
@@ -464,6 +465,71 @@ TEST(WireHost, BogusSolutionFloodBurnsVerificationOnly) {
   EXPECT_GT(c.solutions_invalid, 0u);
   EXPECT_GE(c.solution_acks, c.solutions_invalid);
   EXPECT_LT(c.established_total, stats.bogus_acks / 16);
+}
+
+TEST(WireHost, SocketBacklogDoesNotStarveTicksOrAccepts) {
+  // Valid solution ACKs queued on the host's socket before its loop starts,
+  // more than one wakeup serves, against an accept queue that holds one
+  // wakeup's worth. The host must serve its timer, and so accept(), between
+  // slices of the backlog: had it read the socket dry first, the queue would
+  // fill on the first slice and every later final ACK would be ignored.
+  constexpr int kCap = Host::kMaxDatagramsPerWakeup;
+  constexpr int kBacklog = 2 * kCap + kCap / 2;
+  const auto secret = crypto::SecretKey::from_seed(71);
+  const auto engine = test_engine(71);
+  HostConfig hc = puzzle_host_config();
+  hc.listener.accept_backlog = kCap;
+  // A tick is due at every wakeup: one slice of the backlog takes longer.
+  hc.tick_interval = SimTime::microseconds(1);
+  Host host(hc, secret, 1, engine);
+
+  // Mint the challenges on the host's own listener (the caller's until
+  // start()) and solve them: one flow per source port.
+  shim::UdpTransport net(0);
+  net.add_route(kServerAddr, host.bound_port());
+  for (int i = 0; i < kBacklog; ++i) {
+    tcp::ConnectorConfig cc;
+    cc.local_addr = kClientAddr;
+    cc.local_port = static_cast<std::uint16_t>(20'000 + i);
+    cc.remote_addr = kServerAddr;
+    cc.remote_port = 80;
+    tcp::Connector conn(cc, static_cast<std::uint64_t>(i));
+    const SimTime now = host.clock().now();
+    const tcp::Segment syn = conn.start(now).segments.front();
+    const std::vector<tcp::Segment> replies =
+        host.listener().on_segment(now, syn);
+    ASSERT_EQ(replies.size(), 1u);
+    tcp::ConnectorOutput out = conn.on_segment(now, replies.front());
+    ASSERT_TRUE(out.solve);
+    Rng rng(static_cast<std::uint64_t>(i));
+    std::uint64_t ops = 0;
+    out = conn.on_solved(
+        now, engine->solve(*out.solve, conn.flow_binding(), rng, ops));
+    ASSERT_TRUE(net.send(out.segments.front()));
+  }
+  // A SYN behind the backlog: its challenge comes back once the host has
+  // read every ACK ahead of it.
+  tcp::Segment probe;
+  probe.saddr = kClientAddr;
+  probe.daddr = kServerAddr;
+  probe.sport = 19'999;
+  probe.dport = 80;
+  probe.flags = tcp::kSyn;
+  ASSERT_TRUE(net.send(probe));
+
+  host.start();
+  ASSERT_TRUE(net.recv(5'000).has_value());
+  // The last slice's connections wait in the accept queue for one more tick.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  host.stop();
+  host.join();
+
+  const tcp::ListenerCounters& c = host.counters();
+  EXPECT_EQ(host.stats().rx_datagrams, static_cast<std::uint64_t>(kBacklog + 1));
+  EXPECT_EQ(c.established_puzzle, static_cast<std::uint64_t>(kBacklog));
+  EXPECT_EQ(c.acks_ignored_accept_full, 0u);
+  EXPECT_EQ(host.stats().accepted, static_cast<std::uint64_t>(kBacklog));
+  EXPECT_GE(host.stats().wakeups, 3u);
 }
 
 // The headline cross-validation: the same policy code over real sockets and
