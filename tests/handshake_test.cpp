@@ -3,7 +3,10 @@
 // overflow behaviour, deception/RST, replay, expiry, and legacy clients.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "crypto/secret.hpp"
 #include "puzzle/engine.hpp"
@@ -625,6 +628,201 @@ TEST_F(ListenerTest, SynAckRetransmitThenExpiry) {
   EXPECT_EQ(listener_->listen_depth(), 0u);
   EXPECT_EQ(listener_->counters().half_open_expired, 1u);
   EXPECT_LE(t - t0, SimTime::seconds(8));
+}
+
+// The retransmit timeline, pinned to the tick. The listener retransmits a
+// half-open entry's SYN-ACK at the first tick at or past its deadline; the
+// deadline starts at SYN + T and backs off to tick + 2^k T after the k-th
+// retransmit, so with ticks that divide T the SYN-ACKs leave at T, 3T, 7T,
+// ... after the SYN, and the entry expires at (2^(r+1) - 1) T for
+// `max_synack_retries` r.
+
+/// Ticks the listener every 100 ms over (from, to] and returns every
+/// SYN-ACK retransmit with the tick that sent it.
+std::vector<std::pair<SimTime, Segment>> tick_through(Listener& listener,
+                                                      SimTime from,
+                                                      SimTime to) {
+  std::vector<std::pair<SimTime, Segment>> sent;
+  for (SimTime t = from + SimTime::milliseconds(100); t <= to;
+       t += SimTime::milliseconds(100)) {
+    for (const Segment& seg : listener.on_tick(t)) sent.emplace_back(t, seg);
+  }
+  return sent;
+}
+
+/// The tick times of `sent`, as offsets from `t0` in milliseconds.
+std::vector<std::int64_t> offsets_ms(
+    const std::vector<std::pair<SimTime, Segment>>& sent, SimTime t0) {
+  std::vector<std::int64_t> out;
+  for (const auto& [t, seg] : sent) out.push_back((t - t0).nanos() / 1'000'000);
+  return out;
+}
+
+TEST_F(ListenerTest, SynAckRetransmitsBackOffExponentially) {
+  ListenerConfig cfg;
+  cfg.mode = DefenseMode::kNone;
+  cfg.synack_timeout = SimTime::seconds(1);
+  cfg.max_synack_retries = 4;
+  rebuild(cfg);
+  const SimTime t0 = SimTime::seconds(1);
+  const auto first =
+      listener_->on_segment(t0, make_syn(kClientAddr, 40000, 111, t0));
+  ASSERT_EQ(first.size(), 1u);
+
+  const auto sent =
+      tick_through(*listener_, t0, t0 + SimTime::milliseconds(30'900));
+  EXPECT_EQ(offsets_ms(sent, t0),
+            (std::vector<std::int64_t>{1'000, 3'000, 7'000, 15'000}));
+  for (const auto& [t, seg] : sent) {
+    EXPECT_TRUE(seg.is_syn_ack());
+    EXPECT_EQ(seg.seq, first[0].seq) << "a retransmit reuses the ISS";
+    EXPECT_EQ(seg.ack, 112u);
+    EXPECT_EQ(seg.dport, 40000);
+  }
+  EXPECT_EQ(listener_->listen_depth(), 1u);
+  EXPECT_EQ(listener_->counters().half_open_expired, 0u);
+
+  // Expiry at 31 T: the tick that finds the fifth deadline past drops it.
+  EXPECT_TRUE(tick_through(*listener_, t0 + SimTime::milliseconds(30'900),
+                           t0 + SimTime::seconds(31))
+                  .empty());
+  EXPECT_EQ(listener_->listen_depth(), 0u);
+  EXPECT_EQ(listener_->counters().half_open_expired, 1u);
+  EXPECT_EQ(listener_->counters().synack_retx, 4u);
+}
+
+TEST_F(ListenerTest, HalfOpenExpiresAfterMaxSynackRetries) {
+  for (int retries = 0; retries <= 3; ++retries) {
+    SCOPED_TRACE(retries);
+    ListenerConfig cfg;
+    cfg.mode = DefenseMode::kNone;
+    cfg.synack_timeout = SimTime::milliseconds(500);
+    cfg.max_synack_retries = retries;
+    rebuild(cfg);
+    const SimTime t0 = SimTime::seconds(1);
+    (void)listener_->on_segment(t0, make_syn(kClientAddr, 40000, 1, t0));
+
+    // Expiry at (2^(r+1) - 1) T.
+    const SimTime expiry =
+        t0 + SimTime::milliseconds(500) * ((std::int64_t{2} << retries) - 1);
+    const auto sent =
+        tick_through(*listener_, t0, expiry - SimTime::milliseconds(100));
+    EXPECT_EQ(sent.size(), static_cast<std::size_t>(retries));
+    EXPECT_EQ(listener_->listen_depth(), 1u);
+    EXPECT_TRUE(
+        tick_through(*listener_, expiry - SimTime::milliseconds(100), expiry)
+            .empty());
+    EXPECT_EQ(listener_->listen_depth(), 0u);
+    EXPECT_EQ(listener_->counters().half_open_expired, 1u);
+    EXPECT_TRUE(tick_through(*listener_, expiry, expiry + SimTime::seconds(20))
+                    .empty());
+  }
+}
+
+TEST_F(ListenerTest, ParkedEntryRetransmitsAndExpiresOnSchedule) {
+  ListenerConfig cfg;
+  cfg.mode = DefenseMode::kNone;
+  cfg.accept_backlog = 1;
+  cfg.synack_timeout = SimTime::seconds(1);
+  cfg.max_synack_retries = 3;
+  rebuild(cfg);
+  const SimTime t0 = SimTime::seconds(1);
+  ASSERT_TRUE(run_handshake(41000, t0));  // fills the accept queue
+
+  const auto synacks =
+      listener_->on_segment(t0, make_syn(kClientAddr, 41001, 77, t0));
+  ASSERT_EQ(synacks.size(), 1u);
+  (void)listener_->on_segment(t0, make_ack_for(synacks[0], t0));
+  ASSERT_EQ(listener_->counters().acks_pending_accept, 1u);
+
+  // The parked entry keeps its SYN-ACK timeline: 1, 3, 7 s, then expiry at
+  // 15 s; the tick never promotes it.
+  const auto sent =
+      tick_through(*listener_, t0, t0 + SimTime::milliseconds(14'900));
+  EXPECT_EQ(offsets_ms(sent, t0),
+            (std::vector<std::int64_t>{1'000, 3'000, 7'000}));
+  for (const auto& [t, seg] : sent) EXPECT_EQ(seg.seq, synacks[0].seq);
+  EXPECT_EQ(listener_->listen_depth(), 1u);
+  (void)tick_through(*listener_, t0 + SimTime::milliseconds(14'900),
+                     t0 + SimTime::seconds(15));
+  EXPECT_EQ(listener_->listen_depth(), 0u);
+  EXPECT_EQ(listener_->counters().half_open_expired, 1u);
+  EXPECT_EQ(listener_->established_count(), 1u);
+}
+
+TEST_F(ListenerTest, ReinsertedFlowKeepsItsOwnRetransmitDeadline) {
+  ListenerConfig cfg;
+  cfg.mode = DefenseMode::kNone;
+  cfg.synack_timeout = SimTime::seconds(1);
+  cfg.max_synack_retries = 3;
+  rebuild(cfg);
+  Segment rst;
+  rst.saddr = kClientAddr;
+  rst.daddr = kServerAddr;
+  rst.sport = 40000;
+  rst.dport = kServerPort;
+  rst.flags = kRst;
+
+  // Old entry: SYN at 0, retransmits at 1 and 3 s, next deadline 7 s. It
+  // is reset at 4 s and the flow reopens at 5 s: the new entry's deadlines
+  // are 6, 8 and 12 s, and the stale 7 s deadline fires nothing.
+  const SimTime t0 = SimTime::seconds(1);
+  (void)listener_->on_segment(t0, make_syn(kClientAddr, 40000, 100, t0));
+  auto sent = tick_through(*listener_, t0, t0 + SimTime::seconds(4));
+  EXPECT_EQ(offsets_ms(sent, t0), (std::vector<std::int64_t>{1'000, 3'000}));
+  (void)listener_->on_segment(t0 + SimTime::seconds(4), rst);
+  EXPECT_EQ(listener_->listen_depth(), 0u);
+  const SimTime t1 = t0 + SimTime::seconds(5);
+  const auto fresh =
+      listener_->on_segment(t1, make_syn(kClientAddr, 40000, 500, t1));
+  ASSERT_EQ(fresh.size(), 1u);
+  sent = tick_through(*listener_, t0 + SimTime::seconds(4),
+                      t0 + SimTime::milliseconds(19'900));
+  EXPECT_EQ(offsets_ms(sent, t0),
+            (std::vector<std::int64_t>{6'000, 8'000, 12'000}));
+  for (const auto& [t, seg] : sent) {
+    EXPECT_EQ(seg.seq, fresh[0].seq);
+    EXPECT_EQ(seg.ack, 501u);
+  }
+  EXPECT_EQ(listener_->listen_depth(), 1u);
+  (void)tick_through(*listener_, t0 + SimTime::milliseconds(19'900),
+                     t0 + SimTime::seconds(20));
+  EXPECT_EQ(listener_->listen_depth(), 0u);
+  EXPECT_EQ(listener_->counters().half_open_expired, 1u);
+
+  // The other way round: the stale deadline (1 s) comes before the new one
+  // (1.8 s) and must not pull the new entry's first retransmit forward.
+  rebuild(cfg);
+  (void)listener_->on_segment(t0, make_syn(kClientAddr, 40000, 100, t0));
+  (void)listener_->on_segment(t0 + SimTime::milliseconds(500), rst);
+  (void)listener_->on_segment(t0 + SimTime::milliseconds(800),
+                              make_syn(kClientAddr, 40000, 500, t0));
+  sent = tick_through(*listener_, t0 + SimTime::milliseconds(800),
+                      t0 + SimTime::seconds(8));
+  EXPECT_EQ(offsets_ms(sent, t0),
+            (std::vector<std::int64_t>{1'800, 3'800, 7'800}));
+}
+
+TEST_F(ListenerTest, CompletedHandshakeStopsRetransmitting) {
+  ListenerConfig cfg;
+  cfg.mode = DefenseMode::kNone;
+  cfg.synack_timeout = SimTime::seconds(1);
+  cfg.max_synack_retries = 3;
+  rebuild(cfg);
+  const SimTime t0 = SimTime::seconds(1);
+  const auto synacks =
+      listener_->on_segment(t0, make_syn(kClientAddr, 40000, 9, t0));
+  ASSERT_EQ(synacks.size(), 1u);
+  EXPECT_EQ(tick_through(*listener_, t0, t0 + SimTime::milliseconds(1'500))
+                .size(),
+            1u);
+  const SimTime t1 = t0 + SimTime::milliseconds(1'500);
+  (void)listener_->on_segment(t1, make_ack_for(synacks[0], t1));
+  ASSERT_EQ(listener_->established_count(), 1u);
+  EXPECT_TRUE(tick_through(*listener_, t1, t0 + SimTime::seconds(40)).empty());
+  EXPECT_EQ(listener_->counters().synack_retx, 1u);
+  EXPECT_EQ(listener_->counters().half_open_expired, 0u);
+  EXPECT_EQ(listener_->listen_depth(), 0u);
 }
 
 // ---------------------------------------------------------------------------
