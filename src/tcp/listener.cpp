@@ -698,27 +698,26 @@ std::vector<Segment> Listener::on_tick(SimTime now) {
   std::vector<Segment> out;
   const std::uint32_t now_ms = to_ms(now);
 
-  listen_.retain([&](HalfOpenEntry& entry) {
+  // Only due entries are visited, in (deadline, insertion) order.
+  listen_.visit_due(now, [&](HalfOpenEntry& entry) {
     // Parked (acked) entries are NOT promoted here: Linux completes them
     // only when the peer transmits again (duplicate ACK or data) while the
     // accept queue has room. They keep retransmitting the SYN-ACK — which is
     // what prompts a live peer to re-ACK — and expire like any half-open.
-    if (now >= entry.next_retx) {
-      if (entry.retx_count >= cfg_.max_synack_retries) {
-        ++counters_.half_open_expired;
-        TCPZ_TRACE(now, obs::Code::kHalfOpenExpired, cfg_.trace_track,
-                   entry.flow, entry.retx_count);
-        return false;
-      }
-      ++entry.retx_count;
-      // Exponential backoff, as the kernel does.
-      entry.next_retx = now + cfg_.synack_timeout * (1ll << entry.retx_count);
-      ++counters_.synack_retx;
-      ++counters_.synacks_sent;
-      TCPZ_TRACE(now, obs::Code::kSynackRetx, cfg_.trace_track, entry.flow,
-                 entry.retx_count);
-      out.push_back(make_synack(entry, now_ms));
+    if (entry.retx_count >= cfg_.max_synack_retries) {
+      ++counters_.half_open_expired;
+      TCPZ_TRACE(now, obs::Code::kHalfOpenExpired, cfg_.trace_track,
+                 entry.flow, entry.retx_count);
+      return false;
     }
+    ++entry.retx_count;
+    // Exponential backoff, as the kernel does.
+    entry.next_retx = now + cfg_.synack_timeout * (1ll << entry.retx_count);
+    ++counters_.synack_retx;
+    ++counters_.synacks_sent;
+    TCPZ_TRACE(now, obs::Code::kSynackRetx, cfg_.trace_track, entry.flow,
+               entry.retx_count);
+    out.push_back(make_synack(entry, now_ms));
     return true;
   });
   return out;

@@ -5,10 +5,11 @@
 // cookies and puzzles is what happens when they are full.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -54,7 +55,25 @@ struct AcceptedConnection {
   SimTime established_at;
 };
 
-/// Bounded map of half-open connections, FIFO-iterable for expiry scans.
+/// Bounded table of half-open connections, with a retransmit deadline queue
+/// so the listener's tick visits only the entries that are due.
+///
+/// Entries sit in one dense vector, erased by moving the last entry into the
+/// hole. A power-of-two index of 64-bit slots maps a flow to its entry: the
+/// low 32 bits of the flow's hash (the tag) in the high half of the word,
+/// the entry's position + 1 in the low half, 0 for an empty slot. Lookup
+/// probes linearly from the tag's home slot; erase shifts the rest of the
+/// probe chain back, so there are no tombstones. The index doubles before
+/// an insert would fill more than half of it, so it ends at most at the
+/// first power of two ≥ 2 × capacity(); an empty queue owns no memory.
+///
+/// Each entry has one node in a min-heap keyed by (next_retx, insertion
+/// number). Erasing an entry leaves its node queued; a popped node counts
+/// only if its flow still holds the entry of that insertion, so a flow that
+/// was erased and inserted again keeps its own deadline (DESIGN.md
+/// "Periodic expiry"). Once stale nodes make the heap more than twice the
+/// table's size, it is rebuilt from the live entries, which bounds it by
+/// the backlog, not by the insert rate.
 class ListenQueue {
  public:
   explicit ListenQueue(std::size_t capacity) : capacity_(capacity) {}
@@ -63,30 +82,76 @@ class ListenQueue {
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
 
-  /// False if full or the flow is already present.
+  /// False if full or the flow is already present. The entry's first
+  /// retransmit deadline is its `next_retx`, which only visit_due()'s
+  /// callback may change afterwards.
   bool insert(const HalfOpenEntry& entry);
+  /// The flow's entry, or nullptr. The pointer stays valid only until the
+  /// next insert or erase: both move entries.
   [[nodiscard]] HalfOpenEntry* find(const FlowKey& flow);
   [[nodiscard]] bool contains(const FlowKey& flow) const {
-    return entries_.contains(flow);
+    return find_slot(flow, FlowKeyHash{}(flow)) != kNone;
   }
   void erase(const FlowKey& flow);
 
-  /// Applies `fn` to every entry; if it returns false the entry is removed.
-  /// Used by the expiry/retransmit tick.
+  /// Calls `fn` once on every entry whose `next_retx` is at or before
+  /// `now`, in (next_retx, insertion) order. If `fn` returns false the
+  /// entry is erased; otherwise it is queued again at the `next_retx` that
+  /// `fn` left, which visit_due() does not revisit before it returns. `fn`
+  /// must not insert or erase. Used by the retransmit/expiry tick.
   template <typename Fn>
-  void retain(Fn&& fn) {
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (fn(it->second)) {
-        ++it;
+  void visit_due(SimTime now, Fn&& fn) {
+    while (!deadlines_.empty() && deadlines_.front().at <= now) {
+      std::pop_heap(deadlines_.begin(), deadlines_.end(), Later{});
+      const Deadline due = deadlines_.back();
+      deadlines_.pop_back();
+      const std::size_t slot = find_slot(due.flow, FlowKeyHash{}(due.flow));
+      if (slot == kNone) continue;
+      const std::size_t i = entry_at(slot);
+      if (inserted_[i] != due.seq) continue;  // a later insertion's entry
+      if (fn(entries_[i])) {
+        requeue_.push_back({entries_[i].next_retx, due.seq, due.flow});
       } else {
-        it = entries_.erase(it);
+        erase_slot(slot);
       }
     }
+    for (const Deadline& d : requeue_) push_deadline(d);
+    requeue_.clear();
   }
 
  private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  struct Deadline {
+    SimTime at;
+    std::uint64_t seq = 0;  ///< insertion number of the entry it was set for
+    FlowKey flow;
+  };
+  /// Heap order: std::*_heap keep the greatest first, so "greater" is the
+  /// later deadline, insertion number breaking ties.
+  struct Later {
+    bool operator()(const Deadline& a, const Deadline& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+
+  [[nodiscard]] std::size_t find_slot(const FlowKey& flow,
+                                      std::uint64_t hash) const;
+  [[nodiscard]] std::size_t entry_at(std::size_t slot) const {
+    return static_cast<std::size_t>(slots_[slot] & 0xffff'ffffu) - 1;
+  }
+  void place(std::uint64_t hash, std::size_t entry);
+  void erase_slot(std::size_t slot);
+  void grow();
+  void push_deadline(const Deadline& d);
+
   std::size_t capacity_;
-  std::unordered_map<FlowKey, HalfOpenEntry, FlowKeyHash> entries_;
+  std::vector<HalfOpenEntry> entries_;
+  std::vector<std::uint64_t> inserted_;  ///< insertion number per entry
+  std::vector<std::uint64_t> slots_;
+  std::vector<Deadline> deadlines_;  ///< min-heap under Later
+  std::vector<Deadline> requeue_;    ///< visit_due()'s survivors
+  std::uint64_t next_seq_ = 0;
 };
 
 /// Bounded FIFO of established connections awaiting accept(), with an O(1)

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <set>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
 
+#include "tcp/queues.hpp"
 #include "util/bytes.hpp"
 #include "util/ring_queue.hpp"
 #include "util/rng.hpp"
@@ -357,6 +362,169 @@ TEST(RingQueue, MatchesDequeThroughWrapsAndGrowth) {
     ref.pop_front();
   }
   EXPECT_TRUE(ring.empty());
+}
+
+
+// ---------------------------------------------------------------------------
+// tcp::ListenQueue
+// ---------------------------------------------------------------------------
+
+// Random insert / find / contains / erase / visit_due against a hash map
+// and a brute-force scan for the due entries, sorted by (deadline,
+// insertion).
+class ListenQueueModel {
+ public:
+  ListenQueueModel(std::size_t capacity, std::vector<tcp::FlowKey> pool,
+                   std::uint64_t seed)
+      : queue_(capacity), capacity_(capacity), pool_(std::move(pool)),
+        rng_(seed) {}
+
+  /// `insert_odds` in 20 of the steps insert; visits advance the clock by
+  /// up to `max_advance_ms`.
+  void run(int steps, std::uint64_t insert_odds, std::uint64_t max_advance_ms) {
+    for (int step = 0; step < steps; ++step) {
+      SCOPED_TRACE(step);
+      // Half the picks come from a hot few, which are erased and inserted
+      // again within a deadline's reach.
+      const std::size_t span = rng_.uniform_u64(2) == 0
+                                   ? std::min<std::size_t>(pool_.size(), 64)
+                                   : pool_.size();
+      const tcp::FlowKey flow = pool_[rng_.uniform_u64(span)];
+      const std::uint64_t op = rng_.uniform_u64(20);
+      if (op < insert_odds) {
+        insert(flow);
+      } else if (op < 12) {
+        queue_.erase(flow);
+        ref_.erase(flow);
+      } else if (op < 15) {
+        check_find(flow);
+      } else if (op < 17) {
+        EXPECT_EQ(queue_.contains(flow), ref_.contains(flow));
+      } else {
+        now_ += SimTime::milliseconds(
+            static_cast<std::int64_t>(rng_.uniform_u64(max_advance_ms + 1)));
+        visit(now_);
+      }
+      ASSERT_EQ(queue_.size(), ref_.size());
+      ASSERT_EQ(queue_.full(), ref_.size() >= capacity_);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+
+  /// Every live entry is findable, then everything is visited out.
+  void drain() {
+    for (const auto& [flow, ref] : ref_) check_find(flow);
+    while (!ref_.empty() && !::testing::Test::HasFailure()) {
+      now_ += SimTime::seconds(1);
+      visit(now_);
+      ASSERT_EQ(queue_.size(), ref_.size());
+    }
+  }
+
+ private:
+  struct Ref {
+    tcp::HalfOpenEntry entry;
+    std::uint64_t seq = 0;
+  };
+
+  void insert(const tcp::FlowKey& flow) {
+    tcp::HalfOpenEntry e;
+    e.flow = flow;
+    e.client_isn = next_isn_++;
+    // Deadlines on a 100 ms grid, so many tie and insertion order decides.
+    e.next_retx = now_ + SimTime::milliseconds(static_cast<std::int64_t>(
+                             100 * rng_.uniform_u64(6)));
+    const bool expect = ref_.size() < capacity_ && !ref_.contains(flow);
+    ASSERT_EQ(queue_.insert(e), expect);
+    if (expect) ref_.emplace(flow, Ref{e, ref_seq_++});
+  }
+
+  void check_find(const tcp::FlowKey& flow) {
+    const tcp::HalfOpenEntry* got = queue_.find(flow);
+    const auto it = ref_.find(flow);
+    ASSERT_EQ(got != nullptr, it != ref_.end());
+    if (got == nullptr) return;
+    EXPECT_EQ(got->flow, flow);
+    EXPECT_EQ(got->client_isn, it->second.entry.client_isn);
+    EXPECT_EQ(got->next_retx, it->second.entry.next_retx);
+    EXPECT_EQ(got->retx_count, it->second.entry.retx_count);
+  }
+
+  /// The visitor: the third visit erases; otherwise back off, and one entry
+  /// in five stays due so the next call must visit it again.
+  static bool touch(tcp::HalfOpenEntry& e, SimTime now) {
+    if (e.retx_count >= 2) return false;
+    ++e.retx_count;
+    const std::int64_t backoff_ms = 100 * (1 + e.client_isn % 4);
+    e.next_retx = e.client_isn % 5 == 0
+                      ? now
+                      : now + SimTime::milliseconds(backoff_ms);
+    return true;
+  }
+
+  void visit(SimTime now) {
+    std::vector<std::tuple<SimTime, std::uint64_t, tcp::FlowKey>> due;
+    for (const auto& [flow, ref] : ref_) {
+      if (ref.entry.next_retx <= now) {
+        due.emplace_back(ref.entry.next_retx, ref.seq, flow);
+      }
+    }
+    std::sort(due.begin(), due.end(), [](const auto& a, const auto& b) {
+      return std::tie(std::get<0>(a), std::get<1>(a)) <
+             std::tie(std::get<0>(b), std::get<1>(b));
+    });
+    std::vector<tcp::FlowKey> want;
+    for (const auto& [at, seq, flow] : due) {
+      want.push_back(flow);
+      if (!touch(ref_.at(flow).entry, now)) ref_.erase(flow);
+    }
+
+    std::vector<tcp::FlowKey> got;
+    queue_.visit_due(now, [&](tcp::HalfOpenEntry& e) {
+      EXPECT_LE(e.next_retx, now) << "visited before its deadline";
+      got.push_back(e.flow);
+      return touch(e, now);
+    });
+    ASSERT_EQ(got, want);
+  }
+
+  tcp::ListenQueue queue_;
+  std::size_t capacity_;
+  std::vector<tcp::FlowKey> pool_;
+  Rng rng_;
+  std::unordered_map<tcp::FlowKey, Ref, tcp::FlowKeyHash> ref_;
+  std::uint64_t ref_seq_ = 0;
+  std::uint32_t next_isn_ = 0;
+  SimTime now_ = SimTime::seconds(1);
+};
+
+tcp::FlowKey pool_flow(std::uint32_t i) {
+  return {tcp::ipv4(10, 2, 0, 0) + i / 7, static_cast<std::uint16_t>(1024 + i),
+          tcp::ipv4(10, 1, 0, 1), 80};
+}
+
+// A small table whose flows all hash to the last three of its 16 slots, so
+// probe chains and backward shifts wrap past the end of the slot array.
+TEST(ListenQueue, MatchesReferenceWithWrappingProbeChains) {
+  std::vector<tcp::FlowKey> pool;
+  for (std::uint32_t i = 0; pool.size() < 24; ++i) {
+    const tcp::FlowKey flow = pool_flow(i);
+    if ((tcp::FlowKeyHash{}(flow) & 15) >= 13) pool.push_back(flow);
+  }
+  ListenQueueModel model(8, pool, 21);
+  model.run(20'000, 8, 250);
+  model.drain();
+}
+
+// From empty to full (512 entries) and back: the table grows through
+// every size while deadlines and insertions interleave.
+TEST(ListenQueue, MatchesReferenceThroughGrowthAndReinserts) {
+  std::vector<tcp::FlowKey> pool;
+  for (std::uint32_t i = 0; i < 3'000; ++i) pool.push_back(pool_flow(i));
+  ListenQueueModel model(512, pool, 22);
+  model.run(20'000, 10, 2);  // insert-biased, slow clock: fills up
+  model.run(20'000, 5, 50);  // erase-biased: churns and drains
+  model.drain();
 }
 
 }  // namespace
