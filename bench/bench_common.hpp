@@ -159,8 +159,14 @@ inline tcpz::scenario::Result run_scenario(tcpz::scenario::Spec spec,
     spec.obs.ring_capacity = args.trace_ring;
     std::error_code ec;
     std::filesystem::create_directories("results", ec);
-    std::string stem = "results/TRACE_" + sanitize(g_artifact);
-    if (!run.empty()) stem += "_" + sanitize(run);
+    // Appended piecewise: GCC 12 at -O3 raises a false -Wrestrict on
+    // `literal + std::string` here.
+    std::string stem = "results/TRACE_";
+    stem += sanitize(g_artifact);
+    if (!run.empty()) {
+      stem += '_';
+      stem += sanitize(run);
+    }
     spec.obs.chrome_trace_path = stem + ".json";
     spec.obs.flows_path = stem + ".flows.txt";
   }

@@ -1,15 +1,19 @@
 // Microbenchmarks of the non-crypto hot paths: listener SYN processing in
 // each defence mode (the per-packet cost an attack packet imposes), the
 // listener's retransmit tick over a full listen queue, the full-segment wire
-// codec, and the discrete-event core. These bound the packet rates the
-// userspace stack itself can absorb.
+// codec, flat vs node-based flow-table lookups, and the discrete-event core.
+// These bound the packet rates the userspace stack itself can absorb.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <unordered_map>
 
 #include "crypto/secret.hpp"
 #include "net/simulator.hpp"
 #include "puzzle/engine.hpp"
 #include "tcp/listener.hpp"
 #include "tcp/wire_format.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 using namespace tcpz;
@@ -142,15 +146,15 @@ void BM_ListenerNormalHandshake(benchmark::State& state) {
         make_syn(tcp::ipv4(10, 2, 0, 0) + (i % 250), static_cast<std::uint16_t>(
                                                          1024 + (i / 250) % 60'000));
     ++i;
-    const auto synacks = listener.on_segment(now, syn);
-    if (!synacks.empty()) {
+    const auto synack = listener.on_segment(now, syn);
+    if (synack) {
       tcp::Segment ack;
       ack.saddr = syn.saddr;
       ack.daddr = syn.daddr;
       ack.sport = syn.sport;
       ack.dport = syn.dport;
       ack.seq = syn.seq + 1;
-      ack.ack = synacks[0].seq + 1;
+      ack.ack = synack->seq + 1;
       ack.flags = tcp::kAck;
       benchmark::DoNotOptimize(listener.on_segment(now, ack));
     }
@@ -159,6 +163,73 @@ void BM_ListenerNormalHandshake(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ListenerNormalHandshake);
+
+// Flat vs node-based lookup on two per-packet tables: the listener's
+// established-flow table at about 12k flows (every SYN looks its flow up and
+// misses; a data segment hits) and a router's route table. The names start
+// with "Listener" so CI's Listener smoke filter runs them.
+using FlowTableFlat = FlatMap<tcp::FlowKey, tcp::AcceptedConnection,
+                              tcp::FlowKeyHash>;
+using FlowTableNode = std::unordered_map<tcp::FlowKey, tcp::AcceptedConnection,
+                                         tcp::FlowKeyHash>;
+using RouteTableFlat = FlatMap<std::uint32_t, std::uintptr_t, IntHash>;
+using RouteTableNode = std::unordered_map<std::uint32_t, std::uintptr_t>;
+
+template <typename K, typename V, typename H>
+bool has_key(const FlatMap<K, V, H>& m, const K& k) {
+  return m.find(k) != nullptr;
+}
+template <typename K, typename V, typename H>
+bool has_key(const std::unordered_map<K, V, H>& m, const K& k) {
+  return m.find(k) != m.end();
+}
+
+tcp::FlowKey table_flow(std::uint32_t i, std::uint16_t port_base) {
+  return {tcp::ipv4(10, 2, 0, 0) + i / 50,
+          static_cast<std::uint16_t>(port_base + i % 50),
+          tcp::ipv4(10, 1, 0, 1), 80};
+}
+
+/// range(0): 1 looks up present flows, 0 absent ones.
+template <typename Table>
+void BM_ListenerEstablishedLookup(benchmark::State& state) {
+  constexpr std::uint32_t kFlows = 12'288;
+  const bool hit = state.range(0) != 0;
+  Table table;
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    table[table_flow(i, 1024)] = tcp::AcceptedConnection{};
+  }
+  const std::uint16_t probe_base = hit ? 1024 : 2048;
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    // A stride coprime with kFlows walks the table out of insertion order.
+    i = (i + 7'919) % kFlows;
+    benchmark::DoNotOptimize(has_key(table, table_flow(i, probe_base)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_TEMPLATE(BM_ListenerEstablishedLookup, FlowTableFlat)
+    ->ArgName("hit")->Arg(1)->Arg(0);
+BENCHMARK_TEMPLATE(BM_ListenerEstablishedLookup, FlowTableNode)
+    ->ArgName("hit")->Arg(1)->Arg(0);
+
+/// A router's exact-match route lookup, one per hop, over 512 host routes.
+template <typename Table>
+void BM_ListenerPathRouteLookup(benchmark::State& state) {
+  constexpr std::uint32_t kRoutes = 512;
+  Table table;
+  for (std::uint32_t i = 0; i < kRoutes; ++i) {
+    table[tcp::ipv4(10, 2, 0, 0) + i] = i;
+  }
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    i = (i + 101) % kRoutes;
+    benchmark::DoNotOptimize(has_key(table, tcp::ipv4(10, 2, 0, 0) + i));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_TEMPLATE(BM_ListenerPathRouteLookup, RouteTableFlat);
+BENCHMARK_TEMPLATE(BM_ListenerPathRouteLookup, RouteTableNode);
 
 void BM_WireEncodeDecode(benchmark::State& state) {
   tcp::Segment s = make_syn(tcp::ipv4(10, 2, 0, 1), 40'000);

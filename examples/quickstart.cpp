@@ -60,13 +60,13 @@ int main() {
   auto out = client.start(t0);
   std::printf("client  -> %s\n", out.segments[0].summary().c_str());
 
-  auto synacks = listener->on_segment(t0, out.segments[0]);
-  std::printf("server  -> %s\n", synacks[0].summary().c_str());
-  const auto& copt = *synacks[0].options.challenge;
+  const auto synack = listener->on_segment(t0, out.segments[0]);
+  std::printf("server  -> %s\n", synack->summary().c_str());
+  const auto& copt = *synack->options.challenge;
   std::printf("          challenge: k=%u m=%u l=%u preimage=%s\n", copt.k,
               copt.m, copt.sol_len, to_hex(copt.preimage).c_str());
 
-  out = client.on_segment(t0, synacks[0]);
+  out = client.on_segment(t0, *synack);
   if (!out.solve) {
     std::printf("no challenge received?\n");
     return 1;

@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
     tcp::Listener listener(lcfg, secret, 1, engine);
     while (!stop.load()) {
       if (const auto seg = server_net.recv(20)) {
-        for (const auto& out : listener.on_segment(since(t0), *seg)) {
-          (void)server_net.send(out);
+        if (const auto out = listener.on_segment(since(t0), *seg)) {
+          (void)server_net.send(*out);
         }
       }
       while (const auto conn = listener.accept(since(t0))) {

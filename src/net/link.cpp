@@ -1,6 +1,7 @@
 #include "net/link.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <type_traits>
 
 #include "net/node.hpp"
@@ -34,8 +35,11 @@ void Link::transmit(const tcp::Segment& seg) {
   }
   const SimTime now = sim_.now();
   const SimTime start = std::max(now, busy_until_);
-  const SimTime ser = SimTime::from_seconds(bytes * 8.0 / bandwidth_bps_);
-  busy_until_ = start + ser;
+  SerTime& ser = ser_cache_[bytes % std::size(ser_cache_)];
+  if (ser.bytes != bytes) {
+    ser = {bytes, SimTime::from_seconds(bytes * 8.0 / bandwidth_bps_)};
+  }
+  busy_until_ = start + ser.ser;
   const SimTime arrival = busy_until_ + delay_;
   TCPZ_TRACE(now, obs::Code::kLinkTx, /*track=*/0, seg, bytes,
              static_cast<std::uint64_t>(arrival.nanos()));

@@ -50,6 +50,16 @@ class Link {
 
   SimTime busy_until_ = SimTime::zero();
   LinkStats stats_;
+
+  /// Serialization time per recently seen packet size, direct-mapped on the
+  /// size's low bits: the exact from_seconds(bytes * 8 / bandwidth) value,
+  /// computed once per size instead of per packet. A zeroed entry is
+  /// already right for 0 bytes.
+  struct SerTime {
+    std::uint32_t bytes = 0;
+    SimTime ser = SimTime::zero();
+  };
+  SerTime ser_cache_[8];
 };
 
 }  // namespace tcpz::net

@@ -42,12 +42,10 @@ void AttackerAgent::start(SimTime until) {
   sample_loop();
 }
 
-void AttackerAgent::send_all(const std::vector<tcp::Segment>& segs) {
-  for (const tcp::Segment& seg : segs) {
-    report_.tx_bytes.add(sim_.now(), seg.wire_size());
-    cpu_.charge_seconds(cfg_.per_packet_cpu_sec);
-    host_.send(seg);
-  }
+void AttackerAgent::send(const tcp::Segment& seg) {
+  report_.tx_bytes.add(sim_.now(), seg.wire_size());
+  cpu_.charge_seconds(cfg_.per_packet_cpu_sec);
+  host_.send(seg);
 }
 
 void AttackerAgent::flood_loop() {
@@ -93,7 +91,7 @@ void AttackerAgent::send_spoofed_syn(SimTime now, std::size_t target) {
   syn.options.mss = 1460;
   report_.attempts.add(now, 1.0);
   ++report_.total_attempts;
-  send_all({syn});
+  send(syn);
 }
 
 void AttackerAgent::launch_attempt(SimTime now, bool patched,
@@ -121,12 +119,12 @@ void AttackerAgent::launch_attempt(SimTime now, bool patched,
   ccfg.solve_puzzles = patched;
   ccfg.max_syn_retries = 0;  // flood tools do not retransmit
 
-  auto [it, inserted] = attempts_.emplace(
+  auto [attempt, inserted] = attempts_.try_emplace(
       sport, Attempt{tcp::Connector(ccfg, rng_.next()), now, {}});
   launches_.push_back({now, sport});
   report_.attempts.add(now, 1.0);
   ++report_.total_attempts;
-  apply(now, sport, it->second.connector.start(now));
+  apply(now, sport, attempt->connector.start(now));
 }
 
 tcp::Segment AttackerAgent::make_bogus_solution_ack(SimTime now,
@@ -163,11 +161,11 @@ tcp::Segment AttackerAgent::make_bogus_solution_ack(SimTime now,
 
 void AttackerAgent::apply(SimTime now, std::uint16_t sport,
                           tcp::ConnectorOutput out) {
-  send_all(out.segments);
+  for (const tcp::Segment& seg : out.segments) send(seg);
 
-  const auto it = attempts_.find(sport);
-  if (it == attempts_.end()) return;
-  Attempt& attempt = it->second;
+  Attempt* found = attempts_.find(sport);
+  if (found == nullptr) return;
+  Attempt& attempt = *found;
 
   if (out.solve) {
     ++report_.challenges_seen;
@@ -206,10 +204,10 @@ void AttackerAgent::apply(SimTime now, std::uint16_t sport,
     // always carries a fresh timer).
     attempt.solve_timer = sim_.schedule_at(done, [this, sport, solution] {
       --pending_solves_;
-      const auto it2 = attempts_.find(sport);
-      if (it2 == attempts_.end()) return;
+      Attempt* solved = attempts_.find(sport);
+      if (solved == nullptr) return;
       const SimTime t = sim_.now();
-      apply(t, sport, it2->second.connector.on_solved(t, solution));
+      apply(t, sport, solved->connector.on_solved(t, solution));
     });
     return;
   }
@@ -219,7 +217,7 @@ void AttackerAgent::apply(SimTime now, std::uint16_t sport,
     // in-flight slot is recycled immediately.
     report_.established.add(now, 1.0);
     ++report_.total_established;
-    erase_attempt(it);
+    erase_attempt(sport, attempt);
     TCPZ_TRACE(now, obs::Code::kOutcomeEstablished, cfg_.trace_track, sport);
     strategy_->on_outcome(view(now), offense::Outcome::kEstablished);
     return;
@@ -230,7 +228,7 @@ void AttackerAgent::apply(SimTime now, std::uint16_t sport,
     if (reset) ++report_.total_rsts;
     report_.failures.add(now, 1.0);
     ++report_.total_failures;
-    erase_attempt(it);
+    erase_attempt(sport, attempt);
     TCPZ_TRACE(now,
                reset ? obs::Code::kOutcomeReset : obs::Code::kOutcomeTimeout,
                cfg_.trace_track, sport);
@@ -239,9 +237,9 @@ void AttackerAgent::apply(SimTime now, std::uint16_t sport,
   }
 }
 
-void AttackerAgent::erase_attempt(AttemptMap::iterator it) {
-  if (sim_.cancel(it->second.solve_timer)) --pending_solves_;
-  attempts_.erase(it);
+void AttackerAgent::erase_attempt(std::uint16_t sport, Attempt& attempt) {
+  if (sim_.cancel(attempt.solve_timer)) --pending_solves_;
+  attempts_.erase(sport);
 }
 
 void AttackerAgent::on_segment(SimTime now, const tcp::Segment& seg) {
@@ -250,8 +248,8 @@ void AttackerAgent::on_segment(SimTime now, const tcp::Segment& seg) {
   const offense::RxAction rx = strategy_->on_rx(view(now), seg);
   if (rx == offense::RxAction::kIgnore) return;  // backscatter is ignored
 
-  const auto it = attempts_.find(seg.dport);
-  if (it == attempts_.end()) return;
+  Attempt* attempt = attempts_.find(seg.dport);
+  if (attempt == nullptr) return;
 
   if (rx == offense::RxAction::kBogusAck && seg.is_syn_ack() &&
       seg.options.challenge) {
@@ -259,15 +257,15 @@ void AttackerAgent::on_segment(SimTime now, const tcp::Segment& seg) {
     TCPZ_TRACE(now, obs::Code::kBogusAck, cfg_.trace_track, seg,
                (static_cast<std::uint64_t>(seg.options.challenge->k) << 8) |
                    seg.options.challenge->m);
-    send_all({make_bogus_solution_ack(now, seg)});
+    send(make_bogus_solution_ack(now, seg));
     report_.established.add(now, 1.0);  // it *believes* it connected
     ++report_.total_established;
-    erase_attempt(it);
+    erase_attempt(seg.dport, *attempt);
     strategy_->on_outcome(view(now), offense::Outcome::kEstablished);
     return;
   }
 
-  apply(now, seg.dport, it->second.connector.on_segment(now, seg));
+  apply(now, seg.dport, attempt->connector.on_segment(now, seg));
 }
 
 void AttackerAgent::tick_loop() {
@@ -302,12 +300,12 @@ void AttackerAgent::tick_loop() {
 void AttackerAgent::expire_attempts(SimTime now) {
   while (!launches_.empty()) {
     const AttemptRef ref = launches_.front();
-    if (const auto it = live(ref); it != attempts_.end()) {
-      if (now - it->second.started <= cfg_.attempt_timeout) break;
-      if (solving(it->second)) {
+    if (Attempt* attempt = live(ref)) {
+      if (now - attempt->started <= cfg_.attempt_timeout) break;
+      if (solving(*attempt)) {
         grace_.push_back(ref);
       } else {
-        time_out(now, it);
+        time_out(now, ref.sport, *attempt);
       }
     }
     launches_.pop_front();
@@ -315,12 +313,12 @@ void AttackerAgent::expire_attempts(SimTime now) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < grace_.size(); ++i) {
     const AttemptRef ref = grace_[i];
-    const auto it = live(ref);
-    if (it == attempts_.end()) continue;
-    const SimTime limit = solving(it->second) ? cfg_.attempt_timeout * 3
-                                              : cfg_.attempt_timeout;
-    if (now - it->second.started > limit) {
-      time_out(now, it);
+    Attempt* attempt = live(ref);
+    if (attempt == nullptr) continue;
+    const SimTime limit = solving(*attempt) ? cfg_.attempt_timeout * 3
+                                            : cfg_.attempt_timeout;
+    if (now - attempt->started > limit) {
+      time_out(now, ref.sport, *attempt);
     } else {
       grace_[kept++] = ref;
     }
@@ -328,12 +326,10 @@ void AttackerAgent::expire_attempts(SimTime now) {
   grace_.resize(kept);
 }
 
-AttackerAgent::AttemptMap::iterator AttackerAgent::live(AttemptRef ref) {
-  const auto it = attempts_.find(ref.sport);
-  if (it == attempts_.end() || it->second.started != ref.started) {
-    return attempts_.end();
-  }
-  return it;
+AttackerAgent::Attempt* AttackerAgent::live(AttemptRef ref) {
+  Attempt* attempt = attempts_.find(ref.sport);
+  if (attempt == nullptr || attempt->started != ref.started) return nullptr;
+  return attempt;
 }
 
 bool AttackerAgent::solving(const Attempt& attempt) const {
@@ -341,13 +337,13 @@ bool AttackerAgent::solving(const Attempt& attempt) const {
          static_cast<bool>(attempt.solve_timer);
 }
 
-void AttackerAgent::time_out(SimTime now, AttemptMap::iterator it) {
-  const std::uint16_t sport = it->first;
+void AttackerAgent::time_out(SimTime now, std::uint16_t sport,
+                             Attempt& attempt) {
   report_.failures.add(now, 1.0);
   ++report_.total_failures;
   // Descheduling the admitted solve models the tool closing its socket: the
   // queued search is abandoned rather than firing as a tombstone.
-  erase_attempt(it);
+  erase_attempt(sport, attempt);
   TCPZ_TRACE(now, obs::Code::kOutcomeTimeout, cfg_.trace_track, sport);
   strategy_->on_outcome(view(now), offense::Outcome::kTimeout);
 }

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "net/node.hpp"
@@ -22,6 +21,7 @@
 #include "sim/cpu.hpp"
 #include "sim/metrics.hpp"
 #include "tcp/connector.hpp"
+#include "util/flat_map.hpp"
 #include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 
@@ -88,7 +88,6 @@ class AttackerAgent {
     net::TimerHandle solve_timer;
   };
 
-  using AttemptMap = std::unordered_map<std::uint16_t, Attempt>;
 
   /// A deadline-queue entry: names one launched attempt by source port and
   /// start time (a recycled port's attempts start at different times). It
@@ -106,17 +105,17 @@ class AttackerAgent {
   /// Times out every attempt the tool has given up on at `now` (the queue
   /// discipline is described at its definition).
   void expire_attempts(SimTime now);
-  /// The live attempt `ref` names, or end() if it has ended.
-  [[nodiscard]] AttemptMap::iterator live(AttemptRef ref);
+  /// The live attempt `ref` names, or nullptr if it has ended.
+  [[nodiscard]] Attempt* live(AttemptRef ref);
   [[nodiscard]] bool solving(const Attempt& attempt) const;
-  void time_out(SimTime now, AttemptMap::iterator it);
+  void time_out(SimTime now, std::uint16_t sport, Attempt& attempt);
   void sample_loop();
   void launch_attempt(SimTime now, bool patched, std::size_t target);
   void send_spoofed_syn(SimTime now, std::size_t target);
   void apply(SimTime now, std::uint16_t sport, tcp::ConnectorOutput out);
-  void send_all(const std::vector<tcp::Segment>& segs);
+  void send(const tcp::Segment& seg);
   /// Erases an attempt, descheduling any in-flight solve completion.
-  void erase_attempt(AttemptMap::iterator it);
+  void erase_attempt(std::uint16_t sport, Attempt& attempt);
   [[nodiscard]] tcp::Segment make_bogus_solution_ack(SimTime now,
                                                      const tcp::Segment& synack);
 
@@ -129,7 +128,7 @@ class AttackerAgent {
   SimTime until_;
   std::unique_ptr<offense::AttackStrategy> strategy_;
 
-  AttemptMap attempts_;
+  FlatMap<std::uint16_t, Attempt, IntHash> attempts_;
   /// Every launched attempt, in launch (so start-time) order.
   RingQueue<AttemptRef> launches_;
   /// Attempts past attempt_timeout that were still solving when the tick

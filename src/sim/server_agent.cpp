@@ -35,30 +35,28 @@ void ServerAgent::start(SimTime until) {
   sample_loop();
 }
 
-void ServerAgent::send_all(const std::vector<tcp::Segment>& segs) {
-  for (const tcp::Segment& seg : segs) {
-    report_.tx_bytes.add(sim_.now(), seg.wire_size());
-    if (seg.options.challenge) {
-      report_.challenge_synacks.add(sim_.now(), 1.0);
-    } else if (seg.is_syn_ack()) {
-      report_.plain_synacks.add(sim_.now(), 1.0);
-    }
-    host_.send(seg);
+void ServerAgent::send(const tcp::Segment& seg) {
+  report_.tx_bytes.add(sim_.now(), seg.wire_size());
+  if (seg.options.challenge) {
+    report_.challenge_synacks.add(sim_.now(), 1.0);
+  } else if (seg.is_syn_ack()) {
+    report_.plain_synacks.add(sim_.now(), 1.0);
   }
+  host_.send(seg);
 }
 
 void ServerAgent::on_segment(SimTime now, const tcp::Segment& seg) {
   report_.rx_bytes.add(now, seg.wire_size());
   cpu_.charge_seconds(cfg_.per_packet_cpu_sec);
-  send_all(listener_.on_segment(now, seg));
+  if (const auto reply = listener_.on_segment(now, seg)) send(*reply);
   cpu_.charge_hash_ops(listener_.take_hash_ops());
 }
 
 void ServerAgent::on_request(SimTime now, const tcp::FlowKey& flow,
                              const tcp::Segment& seg) {
-  if (const auto it = workers_.find(flow); it != workers_.end()) {
-    if (!it->second.has_request) {
-      it->second.has_request = true;
+  if (WorkerState* worker = workers_.find(flow)) {
+    if (!worker->has_request) {
+      worker->has_request = true;
       ready_.push_back(flow);
     }
     return;
@@ -77,7 +75,7 @@ void ServerAgent::respond_and_close(SimTime now, const tcp::FlowKey& flow) {
   resp.flags = tcp::kAck | tcp::kPsh;
   resp.payload_bytes = cfg_.response_bytes;
   report_.responses.add(now, 1.0);
-  send_all({resp});
+  send(resp);
 
   workers_.erase(flow);
   early_requests_.erase(flow);
@@ -95,7 +93,7 @@ void ServerAgent::drain_accept_queue(SimTime now) {
     } else {
       idle_.push_back({conn->flow, now});
     }
-    workers_.emplace(conn->flow, state);
+    workers_.try_emplace(conn->flow, state);
   }
 }
 
@@ -108,8 +106,8 @@ void ServerAgent::service_loop() {
     while (!ready_.empty()) {
       const tcp::FlowKey flow = ready_.front();
       ready_.pop_front();
-      const auto it = workers_.find(flow);
-      if (it == workers_.end() || !it->second.has_request) continue;  // stale
+      const WorkerState* worker = workers_.find(flow);
+      if (worker == nullptr || !worker->has_request) continue;  // stale
       respond_and_close(now, flow);
       break;
     }
@@ -124,18 +122,14 @@ void ServerAgent::tick_loop() {
     const SimTime now = sim_.now();
     // §7 closed-loop difficulty control now lives inside the defense layer:
     // the listener consults its policy's on_tick here.
-    send_all(listener_.on_tick(now));
+    for (const tcp::Segment& out : listener_.on_tick(now)) send(out);
     cpu_.charge_hash_ops(listener_.take_hash_ops());
 
     reap_idle_workers(now);
     // Early requests whose connection evaporated (closed before accept).
-    for (auto it = early_requests_.begin(); it != early_requests_.end();) {
-      if (!listener_.is_established(it->first)) {
-        it = early_requests_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    early_requests_.erase_if([this](const tcp::FlowKey& flow, std::uint32_t) {
+      return !listener_.is_established(flow);
+    });
     drain_accept_queue(now);
     tick_loop();
   });
@@ -152,13 +146,13 @@ void ServerAgent::tick_loop() {
 void ServerAgent::reap_idle_workers(SimTime now) {
   while (!idle_.empty()) {
     const IdleWorker w = idle_.front();
-    const auto it = workers_.find(w.flow);
-    if (it != workers_.end() && it->second.accepted_at == w.accepted_at &&
-        !it->second.has_request) {
+    const WorkerState* worker = workers_.find(w.flow);
+    if (worker != nullptr && worker->accepted_at == w.accepted_at &&
+        !worker->has_request) {
       if (now - w.accepted_at <= cfg_.app_idle_timeout) break;
       listener_.close(w.flow);
       early_requests_.erase(w.flow);
-      workers_.erase(it);
+      workers_.erase(w.flow);
     }
     idle_.pop_front();
   }

@@ -13,13 +13,13 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
 #include "net/node.hpp"
 #include "net/simulator.hpp"
 #include "sim/cpu.hpp"
 #include "sim/metrics.hpp"
 #include "tcp/listener.hpp"
+#include "util/flat_map.hpp"
 #include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 #include "workload/profiles.hpp"
@@ -81,7 +81,7 @@ class ServerAgent {
   void sample_loop();
   void drain_accept_queue(SimTime now);
   void reap_idle_workers(SimTime now);
-  void send_all(const std::vector<tcp::Segment>& segs);
+  void send(const tcp::Segment& seg);
   void respond_and_close(SimTime now, const tcp::FlowKey& flow);
 
   net::Simulator& sim_;
@@ -94,13 +94,13 @@ class ServerAgent {
   SimTime until_;
 
   /// Connections holding a worker (accepted, not yet responded/reaped).
-  std::unordered_map<tcp::FlowKey, WorkerState, tcp::FlowKeyHash> workers_;
+  FlatMap<tcp::FlowKey, WorkerState, tcp::FlowKeyHash> workers_;
   /// Workers accepted without a request, in accept (so deadline) order.
   RingQueue<IdleWorker> idle_;
   /// Workers whose request has arrived, FIFO for the service loop.
   std::deque<tcp::FlowKey> ready_;
   /// Requests that arrived before accept() got to the connection.
-  std::unordered_map<tcp::FlowKey, std::uint32_t, tcp::FlowKeyHash> early_requests_;
+  FlatMap<tcp::FlowKey, std::uint32_t, tcp::FlowKeyHash> early_requests_;
 };
 
 }  // namespace tcpz::sim

@@ -264,7 +264,7 @@ std::uint64_t Listener::take_hash_ops() {
   return ops;
 }
 
-std::vector<Segment> Listener::on_segment(SimTime now, const Segment& seg) {
+std::optional<Segment> Listener::on_segment(SimTime now, const Segment& seg) {
   if (seg.daddr != cfg_.local_addr || seg.dport != cfg_.local_port) return {};
   observe_policy(now);
 
@@ -373,7 +373,7 @@ Segment Listener::make_rst(const Segment& in) const {
   return s;
 }
 
-std::vector<Segment> Listener::handle_syn(SimTime now, const Segment& seg) {
+std::optional<Segment> Listener::handle_syn(SimTime now, const Segment& seg) {
   ++counters_.syns_received;
   const FlowKey flow = FlowKey::from_incoming(seg);
   const std::uint32_t now_ms = to_ms(now);
@@ -384,7 +384,7 @@ std::vector<Segment> Listener::handle_syn(SimTime now, const Segment& seg) {
     ++counters_.synacks_sent;
     TCPZ_TRACE(now, obs::Code::kSynRetxRequest, cfg_.trace_track, flow,
                entry->retx_count);
-    return {make_synack(*entry, now_ms)};
+    return make_synack(*entry, now_ms);
   }
   // SYN for an already-established flow: ignore (simplified; stock stacks
   // send a challenge-ACK here).
@@ -403,10 +403,10 @@ std::vector<Segment> Listener::handle_syn(SimTime now, const Segment& seg) {
       TCPZ_TRACE(now, obs::Code::kSynChallenge, cfg_.trace_track, flow,
                  (static_cast<std::uint64_t>(cfg_.difficulty.k) << 8) |
                      cfg_.difficulty.m);
-      return {make_challenge_synack(seg, flow, now_ms)};
+      return make_challenge_synack(seg, flow, now_ms);
     case defense::SynAction::kCookie:
       TCPZ_TRACE(now, obs::Code::kSynCookie, cfg_.trace_track, flow);
-      return {make_cookie_synack(seg, flow, now)};
+      return make_cookie_synack(seg, flow, now);
     case defense::SynAction::kDrop:
       if (verdict.drop_reason == defense::DropReason::kOverflow) {
         ++counters_.drops_queue_overflow;
@@ -445,10 +445,10 @@ std::vector<Segment> Listener::handle_syn(SimTime now, const Segment& seg) {
   ++counters_.synacks_sent;
   TCPZ_TRACE(now, obs::Code::kSynEnqueue, cfg_.trace_track, flow,
              listen_.size());
-  return {make_synack(entry, now_ms)};
+  return make_synack(entry, now_ms);
 }
 
-std::vector<Segment> Listener::handle_ack(SimTime now, const Segment& seg) {
+std::optional<Segment> Listener::handle_ack(SimTime now, const Segment& seg) {
   ++counters_.acks_received;
   const FlowKey flow = FlowKey::from_incoming(seg);
   const defense::AckDecision dispatch = policy_->on_ack(now, queue_view());
@@ -493,7 +493,7 @@ std::vector<Segment> Listener::handle_ack(SimTime now, const Segment& seg) {
   }
 
   // 3. Data segment on an established flow.
-  if (const auto it = established_.find(flow); it != established_.end()) {
+  if (established_.contains(flow)) {
     if (seg.payload_bytes > 0) {
       ++counters_.data_segments;
       if (data_handler_) data_handler_(now, flow, seg);
@@ -541,14 +541,14 @@ std::vector<Segment> Listener::handle_ack(SimTime now, const Segment& seg) {
     if (cfg_.rst_unknown) {
       ++counters_.rsts_sent;
       TCPZ_TRACE(now, obs::Code::kRstSent, cfg_.trace_track, flow);
-      return {make_rst(seg)};
+      return make_rst(seg);
     }
   }
   return {};
 }
 
-std::vector<Segment> Listener::handle_solution_ack(SimTime now,
-                                                   const Segment& seg) {
+std::optional<Segment> Listener::handle_solution_ack(SimTime now,
+                                                     const Segment& seg) {
   ++counters_.solution_acks;
   const FlowKey flow = FlowKey::from_incoming(seg);
   const std::uint32_t now_ms = to_ms(now);
@@ -667,7 +667,7 @@ std::vector<Segment> Listener::handle_solution_ack(SimTime now,
 }
 
 void Listener::establish(SimTime now, const AcceptedConnection& conn) {
-  established_.emplace(conn.flow, EstablishedConn{conn, false});
+  established_.try_emplace(conn.flow, EstablishedConn{conn, false});
   accept_.push(conn);
   ++counters_.established_total;
   switch (conn.path) {
@@ -727,8 +727,8 @@ std::optional<AcceptedConnection> Listener::accept(SimTime now) {
   (void)now;
   auto conn = accept_.pop();
   if (conn) {
-    if (const auto it = established_.find(conn->flow); it != established_.end()) {
-      it->second.accepted = true;
+    if (EstablishedConn* est = established_.find(conn->flow)) {
+      est->accepted = true;
     }
   }
   return conn;

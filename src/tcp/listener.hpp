@@ -31,7 +31,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/secret.hpp"
@@ -42,6 +41,7 @@
 #include "tcp/queues.hpp"
 #include "tcp/segment.hpp"
 #include "tcp/syncookie.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -96,8 +96,11 @@ class Listener {
   Listener(ListenerConfig cfg, crypto::SecretKey secret, std::uint64_t seed,
            std::shared_ptr<const puzzle::PuzzleEngine> engine = nullptr);
 
-  /// Feed one incoming segment; returns segments to transmit.
-  [[nodiscard]] std::vector<Segment> on_segment(SimTime now, const Segment& seg);
+  /// Feed one incoming segment; returns the reply to transmit, if any. A
+  /// segment is answered with at most one segment (DESIGN.md "Flat flow
+  /// tables"), so the per-packet path allocates nothing for its reply.
+  [[nodiscard]] std::optional<Segment> on_segment(SimTime now,
+                                                  const Segment& seg);
 
   /// Periodic maintenance: SYN-ACK retransmission, half-open expiry,
   /// defense-policy control (protection latch, adaptive difficulty).
@@ -236,10 +239,12 @@ class Listener {
     bool accepted = false;
   };
 
-  [[nodiscard]] std::vector<Segment> handle_syn(SimTime now, const Segment& seg);
-  [[nodiscard]] std::vector<Segment> handle_ack(SimTime now, const Segment& seg);
-  [[nodiscard]] std::vector<Segment> handle_solution_ack(SimTime now,
-                                                         const Segment& seg);
+  [[nodiscard]] std::optional<Segment> handle_syn(SimTime now,
+                                                  const Segment& seg);
+  [[nodiscard]] std::optional<Segment> handle_ack(SimTime now,
+                                                  const Segment& seg);
+  [[nodiscard]] std::optional<Segment> handle_solution_ack(SimTime now,
+                                                           const Segment& seg);
 
   [[nodiscard]] Segment make_synack(const HalfOpenEntry& entry,
                                     std::uint32_t now_ms) const;
@@ -313,7 +318,7 @@ class Listener {
 
   ListenQueue listen_;
   AcceptQueue accept_;
-  std::unordered_map<FlowKey, EstablishedConn, FlowKeyHash> established_;
+  FlatMap<FlowKey, EstablishedConn, FlowKeyHash> established_;
 
   DataHandler data_handler_;
   EstablishHandler establish_handler_;

@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "tcp/segment.hpp"
+#include "util/flat_map.hpp"
 #include "util/time.hpp"
 
 namespace tcpz::tcp {
@@ -58,14 +58,9 @@ struct AcceptedConnection {
 /// Bounded table of half-open connections, with a retransmit deadline queue
 /// so the listener's tick visits only the entries that are due.
 ///
-/// Entries sit in one dense vector, erased by moving the last entry into the
-/// hole. A power-of-two index of 64-bit slots maps a flow to its entry: the
-/// low 32 bits of the flow's hash (the tag) in the high half of the word,
-/// the entry's position + 1 in the low half, 0 for an empty slot. Lookup
-/// probes linearly from the tag's home slot; erase shifts the rest of the
-/// probe chain back, so there are no tombstones. The index doubles before
-/// an insert would fill more than half of it, so it ends at most at the
-/// first power of two ≥ 2 × capacity(); an empty queue owns no memory.
+/// The entries live in a FlatMap (util/flat_map.hpp; DESIGN.md "Flat flow
+/// tables"), so an empty queue owns no memory and its index ends at most at
+/// the first power of two ≥ 2 × capacity().
 ///
 /// Each entry has one node in a min-heap keyed by (next_retx, insertion
 /// number). Erasing an entry leaves its node queued; a popped node counts
@@ -79,8 +74,8 @@ class ListenQueue {
   explicit ListenQueue(std::size_t capacity) : capacity_(capacity) {}
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
+  [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] bool full() const { return table_.size() >= capacity_; }
 
   /// False if full or the flow is already present. The entry's first
   /// retransmit deadline is its `next_retx`, which only visit_due()'s
@@ -88,11 +83,14 @@ class ListenQueue {
   bool insert(const HalfOpenEntry& entry);
   /// The flow's entry, or nullptr. The pointer stays valid only until the
   /// next insert or erase: both move entries.
-  [[nodiscard]] HalfOpenEntry* find(const FlowKey& flow);
-  [[nodiscard]] bool contains(const FlowKey& flow) const {
-    return find_slot(flow, FlowKeyHash{}(flow)) != kNone;
+  [[nodiscard]] HalfOpenEntry* find(const FlowKey& flow) {
+    Queued* q = table_.find(flow);
+    return q == nullptr ? nullptr : &q->entry;
   }
-  void erase(const FlowKey& flow);
+  [[nodiscard]] bool contains(const FlowKey& flow) const {
+    return table_.contains(flow);
+  }
+  void erase(const FlowKey& flow) { table_.erase(flow); }
 
   /// Calls `fn` once on every entry whose `next_retx` is at or before
   /// `now`, in (next_retx, insertion) order. If `fn` returns false the
@@ -105,14 +103,12 @@ class ListenQueue {
       std::pop_heap(deadlines_.begin(), deadlines_.end(), Later{});
       const Deadline due = deadlines_.back();
       deadlines_.pop_back();
-      const std::size_t slot = find_slot(due.flow, FlowKeyHash{}(due.flow));
-      if (slot == kNone) continue;
-      const std::size_t i = entry_at(slot);
-      if (inserted_[i] != due.seq) continue;  // a later insertion's entry
-      if (fn(entries_[i])) {
-        requeue_.push_back({entries_[i].next_retx, due.seq, due.flow});
+      Queued* q = table_.find(due.flow);
+      if (q == nullptr || q->seq != due.seq) continue;  // stale node
+      if (fn(q->entry)) {
+        requeue_.push_back({q->entry.next_retx, due.seq, due.flow});
       } else {
-        erase_slot(slot);
+        table_.erase(due.flow);
       }
     }
     for (const Deadline& d : requeue_) push_deadline(d);
@@ -120,8 +116,10 @@ class ListenQueue {
   }
 
  private:
-  static constexpr std::size_t kNone = ~std::size_t{0};
-
+  struct Queued {
+    HalfOpenEntry entry;
+    std::uint64_t seq = 0;  ///< insertion number
+  };
   struct Deadline {
     SimTime at;
     std::uint64_t seq = 0;  ///< insertion number of the entry it was set for
@@ -135,20 +133,10 @@ class ListenQueue {
     }
   };
 
-  [[nodiscard]] std::size_t find_slot(const FlowKey& flow,
-                                      std::uint64_t hash) const;
-  [[nodiscard]] std::size_t entry_at(std::size_t slot) const {
-    return static_cast<std::size_t>(slots_[slot] & 0xffff'ffffu) - 1;
-  }
-  void place(std::uint64_t hash, std::size_t entry);
-  void erase_slot(std::size_t slot);
-  void grow();
   void push_deadline(const Deadline& d);
 
   std::size_t capacity_;
-  std::vector<HalfOpenEntry> entries_;
-  std::vector<std::uint64_t> inserted_;  ///< insertion number per entry
-  std::vector<std::uint64_t> slots_;
+  FlatMap<FlowKey, Queued, FlowKeyHash> table_;
   std::vector<Deadline> deadlines_;  ///< min-heap under Later
   std::vector<Deadline> requeue_;    ///< visit_due()'s survivors
   std::uint64_t next_seq_ = 0;
@@ -176,7 +164,7 @@ class AcceptQueue {
  private:
   std::size_t capacity_;
   std::deque<AcceptedConnection> queue_;
-  std::unordered_set<FlowKey, FlowKeyHash> members_;
+  FlatSet<FlowKey, FlowKeyHash> members_;
 };
 
 }  // namespace tcpz::tcp

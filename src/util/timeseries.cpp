@@ -1,6 +1,7 @@
 #include "util/timeseries.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace tcpz {
@@ -11,11 +12,16 @@ TimeSeries::TimeSeries(SimTime bin_width) : bin_width_(bin_width) {
   }
 }
 
-void TimeSeries::add(SimTime t, double weight) {
-  if (t.nanos() < 0) return;
-  const auto bin = static_cast<std::size_t>(t.nanos() / bin_width_.nanos());
+void TimeSeries::add_to_new_bin(SimTime t, double weight) {
+  const std::int64_t ns = t.nanos();
+  if (ns < 0) return;
+  const std::int64_t width = bin_width_.nanos();
+  const auto bin = static_cast<std::size_t>(ns / width);
   if (bin >= bins_.size()) bins_.resize(bin + 1, 0.0);
   bins_[bin] += weight;
+  cur_bin_ = bin;
+  cur_lo_ = ns - ns % width;
+  cur_hi_ = cur_lo_ > INT64_MAX - width ? INT64_MAX : cur_lo_ + width;
 }
 
 double TimeSeries::total(std::size_t bin) const {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/time.hpp"
@@ -19,7 +20,14 @@ class TimeSeries {
  public:
   explicit TimeSeries(SimTime bin_width = SimTime::seconds(1));
 
-  void add(SimTime t, double weight = 1.0);
+  void add(SimTime t, double weight = 1.0) {
+    const std::int64_t ns = t.nanos();
+    if (ns >= cur_lo_ && ns < cur_hi_) [[likely]] {
+      bins_[cur_bin_] += weight;
+      return;
+    }
+    add_to_new_bin(t, weight);
+  }
 
   [[nodiscard]] std::size_t bins() const { return bins_.size(); }
   [[nodiscard]] double total(std::size_t bin) const;
@@ -35,8 +43,16 @@ class TimeSeries {
   [[nodiscard]] const std::vector<double>& raw_bins() const { return bins_; }
 
  private:
+  /// add() outside the cached bin: divides, grows the bins, moves the cache.
+  void add_to_new_bin(SimTime t, double weight);
+
   SimTime bin_width_;
   std::vector<double> bins_;
+  /// The last bin add() touched and its window [lo, hi) in nanoseconds:
+  /// events arrive mostly in time order, so most adds skip the division.
+  std::size_t cur_bin_ = 0;
+  std::int64_t cur_lo_ = 0;
+  std::int64_t cur_hi_ = 0;
 };
 
 /// Samples an instantaneous gauge (queue depth, CPU busy fraction) on demand;

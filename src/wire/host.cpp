@@ -188,7 +188,9 @@ void Host::drain_udp() {
     }
     const tcp::Segment& seg = *result.segment;
     const SimTime now = clock_.now();
-    for (const auto& out : listener_.on_segment(now, seg)) transmit(out, src);
+    if (const auto reply = listener_.on_segment(now, seg)) {
+      transmit(*reply, src);
+    }
     // Learn (or refresh) the return path only if this flow now holds a
     // listen-queue slot; drop it once the slot is gone.
     const tcp::FlowKey flow = tcp::FlowKey::from_incoming(seg);

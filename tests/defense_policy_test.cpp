@@ -239,9 +239,9 @@ class PolicyListenerTest : public ::testing::Test {
   tcp::Segment handshake(std::uint16_t sport, SimTime t) {
     const auto synacks =
         listener_->on_segment(t, make_syn(kClientAddr, sport, 100, t));
-    EXPECT_EQ(synacks.size(), 1u);
-    (void)listener_->on_segment(t, make_ack_for(synacks[0], t));
-    return synacks[0];
+    EXPECT_TRUE(synacks.has_value());
+    (void)listener_->on_segment(t, make_ack_for(*synacks, t));
+    return *synacks;
   }
 
   crypto::SecretKey secret_{crypto::SecretKey::from_seed(7)};
@@ -266,10 +266,10 @@ TEST_F(PolicyListenerTest, HybridAnswersListenPressureWithCookies) {
   // The next SYN draws a cookie, not a challenge and not a drop — and the
   // cookie handshake completes statelessly.
   const auto out = listener_->on_segment(t, make_syn(kClientAddr, 40000, 9, t));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_FALSE(out[0].options.challenge.has_value());
+  ASSERT_TRUE(out.has_value());
+  EXPECT_FALSE(out->options.challenge.has_value());
   EXPECT_EQ(listener_->counters().cookies_sent, 1u);
-  (void)listener_->on_segment(t, make_ack_for(out[0], t));
+  (void)listener_->on_segment(t, make_ack_for(*out, t));
   EXPECT_EQ(listener_->counters().established_cookie, 1u);
   EXPECT_EQ(listener_->listen_depth(), 2u) << "cookie path must stay stateless";
 }
@@ -286,8 +286,8 @@ TEST_F(PolicyListenerTest, HybridAnswersAcceptPressureWithChallenges) {
 
   const auto out = listener_->on_segment(t + SimTime::milliseconds(2),
                                          make_syn(kClientAddr, 42000, 9, t));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0].options.challenge.has_value())
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(out->options.challenge.has_value())
       << "accept pressure must price the handshake, not hand out cookies";
   EXPECT_EQ(listener_->counters().challenges_sent, 1u);
 }
@@ -311,8 +311,8 @@ TEST_F(PolicyListenerTest, AdaptivePolicyRetunesDifficultyThroughOnTick) {
     const auto out = listener_->on_segment(
         SimTime::milliseconds(10 * i),
         make_syn(kClientAddr + i, 40000, 5, SimTime::milliseconds(10 * i)));
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].options.challenge->m, 8);
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->options.challenge->m, 8);
   }
   (void)listener_->on_tick(SimTime::milliseconds(1100));
   EXPECT_EQ(listener_->config().difficulty.m, 9)
@@ -322,8 +322,8 @@ TEST_F(PolicyListenerTest, AdaptivePolicyRetunesDifficultyThroughOnTick) {
   const auto out = listener_->on_segment(
       SimTime::milliseconds(1200),
       make_syn(kClientAddr + 100, 40000, 5, SimTime::milliseconds(1200)));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].options.challenge->m, 9);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->options.challenge->m, 9);
 }
 
 TEST_F(PolicyListenerTest, CustomPolicyViaFactory) {
@@ -347,7 +347,8 @@ TEST_F(PolicyListenerTest, CustomPolicyViaFactory) {
   EXPECT_STREQ(listener.policy_name(), "blackhole");
   EXPECT_TRUE(listener.protection_active());
   const SimTime t = SimTime::seconds(1);
-  EXPECT_TRUE(listener.on_segment(t, make_syn(kClientAddr, 40000, 1, t)).empty());
+  EXPECT_FALSE(
+      listener.on_segment(t, make_syn(kClientAddr, 40000, 1, t)).has_value());
   EXPECT_EQ(listener.counters().drops_policy, 1u);
   EXPECT_EQ(listener.counters().drops_queue_overflow, 0u);
   EXPECT_EQ(listener.listen_depth(), 0u);

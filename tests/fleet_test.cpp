@@ -170,7 +170,7 @@ struct ReplicaPair {
                                    tcp::Connector& conn) {
     auto out = conn.start(now);
     auto synacks = a->on_segment(now, out.segments.at(0));
-    out = conn.on_segment(now, synacks.at(0));
+    out = conn.on_segment(now, synacks.value());
     EXPECT_TRUE(out.solve.has_value()) << "no challenge for sport " << sport;
     std::uint64_t ops = 0;
     Rng rng(sport);
@@ -272,7 +272,7 @@ struct RotatingFleet {
                                    tcp::Connector& conn) {
     auto out = conn.start(now);
     auto synacks = a->on_segment(now, out.segments.at(0));
-    out = conn.on_segment(now, synacks.at(0));
+    out = conn.on_segment(now, synacks.value());
     EXPECT_TRUE(out.solve.has_value());
     std::uint64_t ops = 0;
     Rng rng(sport);

@@ -89,7 +89,7 @@ class ListenerTest : public ::testing::Test {
       std::vector<Segment> to_client;
       for (const auto& seg : to_server) {
         auto resp = listener_->on_segment(now, seg);
-        to_client.insert(to_client.end(), resp.begin(), resp.end());
+        if (resp) to_client.push_back(*resp);
       }
       if (to_client.empty()) break;
       for (const auto& seg : to_client) {
@@ -139,9 +139,9 @@ TEST_F(ListenerTest, SynRetransmitGetsSameSynAck) {
   const Segment syn = make_syn(kClientAddr, 40000, 111, t);
   const auto first = listener_->on_segment(t, syn);
   const auto second = listener_->on_segment(t + SimTime::seconds(1), syn);
-  ASSERT_EQ(first.size(), 1u);
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(first[0].seq, second[0].seq);  // same ISS, no duplicate state
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(first->seq, second->seq);  // same ISS, no duplicate state
   EXPECT_EQ(listener_->listen_depth(), 1u);
   EXPECT_EQ(listener_->counters().synack_retx, 1u);
 }
@@ -156,7 +156,7 @@ TEST_F(ListenerTest, StrayAckIgnored) {
   ack.seq = 1;
   ack.ack = 12345;
   ack.flags = kAck;
-  EXPECT_TRUE(listener_->on_segment(t, ack).empty());
+  EXPECT_FALSE(listener_->on_segment(t, ack).has_value());
   EXPECT_EQ(listener_->established_count(), 0u);
 }
 
@@ -164,8 +164,8 @@ TEST_F(ListenerTest, WrongAckNumberDoesNotEstablish) {
   const SimTime t = SimTime::seconds(1);
   const Segment syn = make_syn(kClientAddr, 40000, 111, t);
   const auto synacks = listener_->on_segment(t, syn);
-  ASSERT_EQ(synacks.size(), 1u);
-  Segment ack = make_ack_for(synacks[0], t);
+  ASSERT_TRUE(synacks.has_value());
+  Segment ack = make_ack_for(*synacks, t);
   ack.ack += 5;  // acknowledges something we never sent
   (void)listener_->on_segment(t, ack);
   EXPECT_EQ(listener_->established_count(), 0u);
@@ -190,7 +190,7 @@ TEST_F(ListenerTest, RstClearsHalfOpenState) {
 TEST_F(ListenerTest, WrongDestinationIgnored) {
   Segment syn = make_syn(kClientAddr, 40000, 1);
   syn.dport = 8080;
-  EXPECT_TRUE(listener_->on_segment(SimTime::zero(), syn).empty());
+  EXPECT_FALSE(listener_->on_segment(SimTime::zero(), syn).has_value());
   EXPECT_EQ(listener_->counters().syns_received, 0u);
 }
 
@@ -209,7 +209,7 @@ TEST_F(ListenerTest, NoDefenseDropsSynsWhenFull) {
   }
   EXPECT_EQ(listener_->listen_depth(), 4u);
   const auto out = listener_->on_segment(t, make_syn(kClientAddr, 40000, 5, t));
-  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(out.has_value());
   EXPECT_EQ(listener_->counters().drops_queue_overflow, 1u);
   EXPECT_EQ(listener_->counters().drops_policy, 0u);
   EXPECT_FALSE(run_handshake(40001, t));  // denial of service
@@ -308,9 +308,9 @@ TEST_F(ListenerTest, ConnectionFloodFillsListenQueueAndEngagesPuzzles) {
     const Segment syn =
         make_syn(kClientAddr, static_cast<std::uint16_t>(42000 + i), 5, t);
     const auto synacks = listener_->on_segment(t, syn);
-    ASSERT_EQ(synacks.size(), 1u);
-    EXPECT_FALSE(synacks[0].options.challenge.has_value());
-    (void)listener_->on_segment(t, make_ack_for(synacks[0], t));
+    ASSERT_TRUE(synacks.has_value());
+    EXPECT_FALSE(synacks->options.challenge.has_value());
+    (void)listener_->on_segment(t, make_ack_for(*synacks, t));
   }
   EXPECT_EQ(listener_->listen_depth(), 4u);
   EXPECT_EQ(listener_->counters().acks_pending_accept, 4u);
@@ -321,8 +321,8 @@ TEST_F(ListenerTest, ConnectionFloodFillsListenQueueAndEngagesPuzzles) {
   // overflowing.
   const auto out = listener_->on_segment(t + SimTime::milliseconds(2),
                                          make_syn(kClientAddr, 43000, 9, t));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0].options.challenge.has_value());
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(out->options.challenge.has_value());
 }
 
 TEST_F(ListenerTest, SolutionAckIgnoredWhenAcceptQueueFull) {
@@ -342,8 +342,8 @@ TEST_F(ListenerTest, SolutionAckIgnoredWhenAcceptQueueFull) {
     const Segment syn =
         make_syn(kClientAddr, static_cast<std::uint16_t>(42000 + i), 5, t);
     const auto synacks = listener_->on_segment(t, syn);
-    ASSERT_EQ(synacks.size(), 1u);
-    (void)listener_->on_segment(t, make_ack_for(synacks[0], t));
+    ASSERT_TRUE(synacks.has_value());
+    (void)listener_->on_segment(t, make_ack_for(*synacks, t));
   }
   (void)listener_->on_tick(t + SimTime::milliseconds(1));
   ASSERT_TRUE(listener_->protection_active());
@@ -362,8 +362,8 @@ TEST_F(ListenerTest, SolutionAckIgnoredWhenAcceptQueueFull) {
   data.flags = kAck | kPsh;
   data.payload_bytes = 100;
   const auto out = listener_->on_segment(t, data);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0].is_rst());
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(out->is_rst());
   EXPECT_EQ(listener_->counters().rsts_sent, 1u);
 }
 
@@ -382,8 +382,8 @@ TEST_F(ListenerTest, HandshakeAckParkedUntilPeerRetransmits) {
   // Second handshake: ACK arrives but the queue is full.
   const Segment syn = make_syn(kClientAddr, 41001, 77, t);
   const auto synacks = listener_->on_segment(t, syn);
-  ASSERT_EQ(synacks.size(), 1u);
-  const Segment ack = make_ack_for(synacks[0], t);
+  ASSERT_TRUE(synacks.has_value());
+  const Segment ack = make_ack_for(*synacks, t);
   (void)listener_->on_segment(t, ack);
   EXPECT_EQ(listener_->counters().acks_pending_accept, 1u);
   EXPECT_EQ(listener_->established_count(), 1u);
@@ -411,15 +411,15 @@ TEST_F(ListenerTest, DataSegmentCompletesParkedEntry) {
 
   const Segment syn = make_syn(kClientAddr, 41002, 88, t);
   const auto synacks = listener_->on_segment(t, syn);
-  ASSERT_EQ(synacks.size(), 1u);
-  (void)listener_->on_segment(t, make_ack_for(synacks[0], t));  // parked
+  ASSERT_TRUE(synacks.has_value());
+  (void)listener_->on_segment(t, make_ack_for(*synacks, t));  // parked
 
   int delivered = 0;
   listener_->set_data_handler(
       [&](SimTime, const FlowKey&, const Segment&) { ++delivered; });
   ASSERT_TRUE(listener_->accept(t).has_value());  // free a slot
 
-  Segment data = make_ack_for(synacks[0], t);
+  Segment data = make_ack_for(*synacks, t);
   data.flags = kAck | kPsh;
   data.payload_bytes = 120;
   (void)listener_->on_segment(t + SimTime::milliseconds(50), data);
@@ -451,8 +451,8 @@ class PuzzleAckTest : public ListenerTest {
     Connector conn(ccfg, sport);
     auto out = conn.start(now);
     const auto synacks = listener_->on_segment(now, out.segments[0]);
-    EXPECT_EQ(synacks.size(), 1u);
-    out = conn.on_segment(now, synacks[0]);
+    EXPECT_TRUE(synacks.has_value());
+    out = conn.on_segment(now, *synacks);
     EXPECT_TRUE(out.solve.has_value());
     std::uint64_t ops = 0;
     Rng rng(sport);
@@ -539,12 +539,12 @@ TEST_F(PuzzleAckTest, LegacyPlainAckSilentlyIgnored) {
   Connector conn(ccfg, 1);
   auto out = conn.start(t);
   const auto synacks = listener_->on_segment(t, out.segments[0]);
-  ASSERT_EQ(synacks.size(), 1u);
-  out = conn.on_segment(t, synacks[0]);
+  ASSERT_TRUE(synacks.has_value());
+  out = conn.on_segment(t, *synacks);
   EXPECT_TRUE(out.established);  // it *believes* it connected
   EXPECT_TRUE(conn.was_challenged());
   const auto resp = listener_->on_segment(t, out.segments[0]);
-  EXPECT_TRUE(resp.empty());
+  EXPECT_FALSE(resp.has_value());
   EXPECT_EQ(listener_->established_count(), 0u);
 }
 
@@ -667,7 +667,7 @@ TEST_F(ListenerTest, SynAckRetransmitsBackOffExponentially) {
   const SimTime t0 = SimTime::seconds(1);
   const auto first =
       listener_->on_segment(t0, make_syn(kClientAddr, 40000, 111, t0));
-  ASSERT_EQ(first.size(), 1u);
+  ASSERT_TRUE(first.has_value());
 
   const auto sent =
       tick_through(*listener_, t0, t0 + SimTime::milliseconds(30'900));
@@ -675,7 +675,7 @@ TEST_F(ListenerTest, SynAckRetransmitsBackOffExponentially) {
             (std::vector<std::int64_t>{1'000, 3'000, 7'000, 15'000}));
   for (const auto& [t, seg] : sent) {
     EXPECT_TRUE(seg.is_syn_ack());
-    EXPECT_EQ(seg.seq, first[0].seq) << "a retransmit reuses the ISS";
+    EXPECT_EQ(seg.seq, first->seq) << "a retransmit reuses the ISS";
     EXPECT_EQ(seg.ack, 112u);
     EXPECT_EQ(seg.dport, 40000);
   }
@@ -731,8 +731,8 @@ TEST_F(ListenerTest, ParkedEntryRetransmitsAndExpiresOnSchedule) {
 
   const auto synacks =
       listener_->on_segment(t0, make_syn(kClientAddr, 41001, 77, t0));
-  ASSERT_EQ(synacks.size(), 1u);
-  (void)listener_->on_segment(t0, make_ack_for(synacks[0], t0));
+  ASSERT_TRUE(synacks.has_value());
+  (void)listener_->on_segment(t0, make_ack_for(*synacks, t0));
   ASSERT_EQ(listener_->counters().acks_pending_accept, 1u);
 
   // The parked entry keeps its SYN-ACK timeline: 1, 3, 7 s, then expiry at
@@ -741,7 +741,7 @@ TEST_F(ListenerTest, ParkedEntryRetransmitsAndExpiresOnSchedule) {
       tick_through(*listener_, t0, t0 + SimTime::milliseconds(14'900));
   EXPECT_EQ(offsets_ms(sent, t0),
             (std::vector<std::int64_t>{1'000, 3'000, 7'000}));
-  for (const auto& [t, seg] : sent) EXPECT_EQ(seg.seq, synacks[0].seq);
+  for (const auto& [t, seg] : sent) EXPECT_EQ(seg.seq, synacks->seq);
   EXPECT_EQ(listener_->listen_depth(), 1u);
   (void)tick_through(*listener_, t0 + SimTime::milliseconds(14'900),
                      t0 + SimTime::seconds(15));
@@ -775,13 +775,13 @@ TEST_F(ListenerTest, ReinsertedFlowKeepsItsOwnRetransmitDeadline) {
   const SimTime t1 = t0 + SimTime::seconds(5);
   const auto fresh =
       listener_->on_segment(t1, make_syn(kClientAddr, 40000, 500, t1));
-  ASSERT_EQ(fresh.size(), 1u);
+  ASSERT_TRUE(fresh.has_value());
   sent = tick_through(*listener_, t0 + SimTime::seconds(4),
                       t0 + SimTime::milliseconds(19'900));
   EXPECT_EQ(offsets_ms(sent, t0),
             (std::vector<std::int64_t>{6'000, 8'000, 12'000}));
   for (const auto& [t, seg] : sent) {
-    EXPECT_EQ(seg.seq, fresh[0].seq);
+    EXPECT_EQ(seg.seq, fresh->seq);
     EXPECT_EQ(seg.ack, 501u);
   }
   EXPECT_EQ(listener_->listen_depth(), 1u);
@@ -812,12 +812,12 @@ TEST_F(ListenerTest, CompletedHandshakeStopsRetransmitting) {
   const SimTime t0 = SimTime::seconds(1);
   const auto synacks =
       listener_->on_segment(t0, make_syn(kClientAddr, 40000, 9, t0));
-  ASSERT_EQ(synacks.size(), 1u);
+  ASSERT_TRUE(synacks.has_value());
   EXPECT_EQ(tick_through(*listener_, t0, t0 + SimTime::milliseconds(1'500))
                 .size(),
             1u);
   const SimTime t1 = t0 + SimTime::milliseconds(1'500);
-  (void)listener_->on_segment(t1, make_ack_for(synacks[0], t1));
+  (void)listener_->on_segment(t1, make_ack_for(*synacks, t1));
   ASSERT_EQ(listener_->established_count(), 1u);
   EXPECT_TRUE(tick_through(*listener_, t1, t0 + SimTime::seconds(40)).empty());
   EXPECT_EQ(listener_->counters().synack_retx, 1u);
@@ -837,14 +837,14 @@ TEST_F(ListenerTest, DifficultyTunableAtRuntime) {
   rebuild(cfg);
   const SimTime t = SimTime::seconds(1);
   auto out = listener_->on_segment(t, make_syn(kClientAddr, 40000, 1, t));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].options.challenge->m, 8);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->options.challenge->m, 8);
 
   listener_->set_difficulty({3, 15});
   out = listener_->on_segment(t, make_syn(kClientAddr, 40001, 1, t));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].options.challenge->k, 3);
-  EXPECT_EQ(out[0].options.challenge->m, 15);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->options.challenge->k, 3);
+  EXPECT_EQ(out->options.challenge->m, 15);
 
   EXPECT_THROW(listener_->set_difficulty({0, 8}), std::invalid_argument);
 }

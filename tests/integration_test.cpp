@@ -48,8 +48,8 @@ class RealStackFixture : public ::testing::Test {
       const Bytes wire = tcp::encode_options(seg.options);
       EXPECT_EQ(tcp::decode_options(wire, reencoded.options),
                 tcp::DecodeResult::kOk);
-      for (const auto& out : listener_->on_segment(now, reencoded)) {
-        server_host_->send(out);
+      if (const auto out = listener_->on_segment(now, reencoded)) {
+        server_host_->send(*out);
       }
     });
   }

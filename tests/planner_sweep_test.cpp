@@ -113,7 +113,7 @@ TEST(ReplayAttack, CapturedSolutionAckOccupiesOneSlotAndExpires) {
       captured_ack = seg;
       have_capture = true;
     }
-    for (const auto& out : listener->on_segment(now, seg)) server_host->send(out);
+    if (const auto out = listener->on_segment(now, seg)) server_host->send(*out);
   });
 
   tcp::ConnectorConfig ccfg;

@@ -114,10 +114,10 @@ TEST(TimeWrap, ListenerEstablishesPuzzleHandshakeAcrossWrap) {
   auto out = conn.start(t_syn);
   ASSERT_EQ(out.segments.size(), 1u);
   const auto synacks = listener.on_segment(t_syn, out.segments[0]);
-  ASSERT_EQ(synacks.size(), 1u);
-  ASSERT_TRUE(synacks[0].options.challenge.has_value());
+  ASSERT_TRUE(synacks.has_value());
+  ASSERT_TRUE(synacks->options.challenge.has_value());
 
-  out = conn.on_segment(t_ack, synacks[0]);
+  out = conn.on_segment(t_ack, *synacks);
   ASSERT_TRUE(out.solve.has_value());
   Rng rng(1);
   std::uint64_t ops = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -10,6 +11,7 @@
 
 #include "tcp/queues.hpp"
 #include "util/bytes.hpp"
+#include "util/flat_map.hpp"
 #include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -362,6 +364,118 @@ TEST(RingQueue, MatchesDequeThroughWrapsAndGrowth) {
     ref.pop_front();
   }
   EXPECT_TRUE(ring.empty());
+}
+
+
+// ---------------------------------------------------------------------------
+// FlatMap
+// ---------------------------------------------------------------------------
+
+// Hashes of at most 8 keys that all fall in the last three of the 16 slots
+// the index starts with, so probe chains and backward shifts wrap.
+struct TailHash {
+  std::size_t operator()(std::uint32_t k) const {
+    return (std::size_t{k} << 4) | (13 + k % 3);
+  }
+};
+
+// Five distinct tags: lookups must compare keys, not only tags.
+struct FewTagsHash {
+  std::size_t operator()(std::uint32_t k) const { return k % 5; }
+};
+
+// Random try_emplace / overwrite / erase / find / erase_if against
+// std::unordered_map over keys [0, n_keys); the first half of the steps is
+// insert-biased, the second erase-biased, so the map grows through its
+// doublings and drains again.
+template <typename Hash>
+void run_flat_map_model(std::uint32_t n_keys, int steps, std::uint64_t seed) {
+  FlatMap<std::uint32_t, std::uint64_t, Hash> map;
+  std::unordered_map<std::uint32_t, std::uint64_t> ref;
+  Rng rng(seed);
+  std::uint64_t next_value = 1;
+
+  const auto check_all = [&] {
+    ASSERT_EQ(map.size(), ref.size());
+    for (const auto& [key, value] : map) {
+      const auto it = ref.find(key);
+      ASSERT_NE(it, ref.end()) << "stray key " << key;
+      EXPECT_EQ(value, it->second);
+    }
+    for (const auto& [key, value] : ref) {
+      const std::uint64_t* got = map.find(key);
+      ASSERT_NE(got, nullptr) << "lost key " << key;
+      EXPECT_EQ(*got, value);
+    }
+  };
+
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE(step);
+    const std::uint64_t insert_odds = step < steps / 2 ? 6 : 3;
+    const auto key = static_cast<std::uint32_t>(rng.uniform_u64(n_keys));
+    const std::uint64_t op = rng.uniform_u64(10);
+    if (op < insert_odds) {
+      if (rng.uniform_u64(2) == 0) {
+        const auto [value, inserted] = map.try_emplace(key, next_value);
+        const auto [it, ref_inserted] = ref.try_emplace(key, next_value);
+        ASSERT_EQ(inserted, ref_inserted);
+        EXPECT_EQ(*value, it->second);
+        EXPECT_EQ(value, map.find(key));
+      } else {
+        map[key] = next_value;  // inserts or overwrites
+        ref[key] = next_value;
+      }
+      ++next_value;
+    } else if (op < 9) {
+      // The swap-remove moves the last dense entry: it must stay findable.
+      std::optional<std::pair<std::uint32_t, std::uint64_t>> last;
+      if (!map.empty()) last = {(map.end() - 1)->key, (map.end() - 1)->value};
+      ASSERT_EQ(map.erase(key), ref.erase(key) == 1);
+      if (last && last->first != key) {
+        const std::uint64_t* moved = map.find(last->first);
+        ASSERT_NE(moved, nullptr);
+        EXPECT_EQ(*moved, last->second);
+      }
+    } else {
+      // Half of the probes ask for keys that are never inserted.
+      const std::uint32_t probe = key + (rng.uniform_u64(2) == 0 ? 0 : n_keys);
+      const std::uint64_t* got = map.find(probe);
+      const auto it = ref.find(probe);
+      ASSERT_EQ(got != nullptr, it != ref.end());
+      ASSERT_EQ(map.contains(probe), it != ref.end());
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second);
+      }
+    }
+    ASSERT_EQ(map.size(), ref.size());
+    if (step % 997 == 0) {
+      const auto pred = [step](std::uint32_t, std::uint64_t value) {
+        return (value + static_cast<std::uint64_t>(step)) % 3 == 0;
+      };
+      const std::size_t erased = map.erase_if(pred);
+      EXPECT_EQ(erased, std::erase_if(ref, [&](const auto& kv) {
+                  return pred(kv.first, kv.second);
+                }));
+      check_all();
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  check_all();
+  EXPECT_EQ(map.erase_if([](std::uint32_t, std::uint64_t) { return true; }),
+            ref.size());
+  EXPECT_TRUE(map.empty());
+}
+
+TEST(FlatMap, MatchesUnorderedMapThroughGrowthAndDrain) {
+  run_flat_map_model<IntHash>(6'000, 60'000, 31);
+}
+
+TEST(FlatMap, MatchesUnorderedMapWithWrappingProbeChains) {
+  run_flat_map_model<TailHash>(8, 20'000, 32);
+}
+
+TEST(FlatMap, MatchesUnorderedMapWhenTagsCollide) {
+  run_flat_map_model<FewTagsHash>(200, 20'000, 33);
 }
 
 

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "crypto/secret.hpp"
@@ -237,8 +238,8 @@ TEST(UdpTransport, RealPuzzleHandshakeOverLoopback) {
                                         started)
               .count());
       if (seg) {
-        for (const auto& out : listener.on_segment(now, *seg)) {
-          (void)server_net.send(out);
+        if (const auto out = listener.on_segment(now, *seg)) {
+          (void)server_net.send(*out);
         }
       }
       if (listener.accept(now)) {
@@ -496,10 +497,10 @@ TEST(WireHost, SocketBacklogDoesNotStarveTicksOrAccepts) {
     tcp::Connector conn(cc, static_cast<std::uint64_t>(i));
     const SimTime now = host.clock().now();
     const tcp::Segment syn = conn.start(now).segments.front();
-    const std::vector<tcp::Segment> replies =
+    const std::optional<tcp::Segment> reply =
         host.listener().on_segment(now, syn);
-    ASSERT_EQ(replies.size(), 1u);
-    tcp::ConnectorOutput out = conn.on_segment(now, replies.front());
+    ASSERT_TRUE(reply.has_value());
+    tcp::ConnectorOutput out = conn.on_segment(now, *reply);
     ASSERT_TRUE(out.solve);
     Rng rng(static_cast<std::uint64_t>(i));
     std::uint64_t ops = 0;
